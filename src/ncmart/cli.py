@@ -1,9 +1,11 @@
 """Command line interface.
 
-Subcommands: ``zeta`` (filtration constants), ``verify`` (ratio and
-inequality experiments), ``example`` (extremal family), ``norms`` (norm
+Subcommands: ``zeta`` (filtration constants by optimization, checked
+against the closed form on tensor and abelian towers), ``verify`` (ratio
+and inequality experiments), ``example`` (extremal family), ``norms`` (norm
 evaluation of an operator file).  Exit code 0 on success, 1 when a check
-fails, 2 on bad input.
+fails, 2 on bad input, 3 on a numerical failure (a decomposition that does
+not converge, or an arithmetic error).
 """
 
 from __future__ import annotations
@@ -240,6 +242,10 @@ def main(argv=None) -> int:
     except (ConfigError, TowerError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    # LinAlgError subclasses ValueError, so it must be caught first
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:
+        sys.stderr.write(f"numerical failure: {exc}\n")
+        return 3
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

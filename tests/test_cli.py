@@ -3,24 +3,37 @@ import json
 import numpy as np
 import pytest
 
+import ncmart.cli as cli
 import ncmart.harness as harness
 from ncmart.algebra import operator_to_json
 from ncmart.cli import main
 
 
 def test_zeta_closed_form_agreement(tmp_path, capsys):
-    out = tmp_path / "z.json"
-    code = main(["zeta", "--tower", "tensor:2,2", "--restarts", "4", "--out", str(out)])
-    assert code == 0
-    payload = json.loads(out.read_text())
-    assert payload["closed_form"] == [0.5, 0.25]
-    assert payload["max_gap"] < 1e-6
-    assert payload["coefficients"]["provenance"] == "optimized"
+    for tower, closed in (("tensor:2,2", [0.5, 0.25]), ("tensor:2,3", [0.5, 1 / 6])):
+        out = tmp_path / "z.json"
+        code = main(["zeta", "--tower", tower, "--restarts", "4", "--out", str(out)])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["closed_form"] == closed
+        assert payload["max_gap"] < 1e-6
+        assert payload["coefficients"]["provenance"] == "optimized"
 
 
 def test_zeta_bad_tower():
     assert main(["zeta", "--tower", "tensor:1"]) == 2
     assert main(["zeta", "--tower", "klein:4"]) == 2
+
+
+@pytest.mark.parametrize("exc", [np.linalg.LinAlgError("SVD did not converge"),
+                                 ArithmeticError("eigensolver failed")])
+def test_numerical_failure_exit_code(monkeypatch, capsys, exc):
+    def failing(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "zeta_sequence", failing)
+    assert main(["zeta", "--tower", "tensor:2,2"]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
 def test_verify_pass_and_output(tmp_path):
@@ -79,6 +92,12 @@ def test_verify_config_file(tmp_path):
     code = main(["verify", "--experiment", "example", "--config", str(cfg),
                  "--seed", "4", "--out", str(out)])
     assert code == 0
+
+
+def test_verify_non_dyadic_tensor_tower():
+    """tensor:4,4,4 takes the closed-form constants, so no optimizer runs."""
+    assert main(["verify", "--experiment", "weak-type", "--tower", "tensor:4,4,4",
+                 "--seed", "1", "--trials", "2"]) == 0
 
 
 def test_verify_failure_exit_code(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ import ncmart.martingale as mg
 from ncmart.algebra import FiltrationSpec, TowerError, build_tower
 from ncmart.fractional import (
     CoefficientSequence,
+    _top_singular_pairs,
     embedding_constants_check,
     fractional_integral,
     iterated_transform,
@@ -38,7 +39,7 @@ def test_coefficient_validation():
 
 def test_zeta_sequence_methods(tensor22):
     closed = zeta_sequence(tensor22)
-    assert closed.provenance == "closed_form_dyadic"
+    assert closed.provenance == "closed_form_tensor"
     assert closed.values == (0.5, 0.25)
     user = zeta_sequence(tensor22, "user", values=(0.5, 0.5))
     assert user.provenance == "user"
@@ -65,17 +66,33 @@ def test_abelian_closed_form(abelian4):
     ("tensor22", [0.5, 0.25]),
     ("tensor222", [0.5, 0.25, 0.125]),
     ("abelian3", [0.5, 0.5, 0.25]),
+    # M_2 (x) M_3: the constant of D_2 is 1/6, witnessed by a matrix unit
+    ("tensor23", [0.5, 1 / 6]),
 ])
 def test_optimizer_matches_closed_form(request, fixture, expected):
     tower = request.getfixturevalue(fixture)
+    assert zeta_sequence(tower).values == tuple(expected)
     for k, want in enumerate(expected, start=1):
         got = zeta_optimize(tower, k, restarts=8)
         assert got == pytest.approx(want, rel=1e-6)
 
 
-def test_optimizer_non_dyadic_factor(tensor23):
-    """M_2 (x) M_3: the constant of D_2 is 1/6, witnessed by a matrix unit."""
-    assert zeta_optimize(tensor23, 1, restarts=8) == pytest.approx(0.5, rel=1e-6)
+def test_optimizer_svd_fallback(tensor23, monkeypatch, rng):
+    """When LAPACK's SVD does not converge the top triples come from eigh."""
+    xs = rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6))
+    sigma, u, v = _top_singular_pairs(xs)
+
+    def no_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    f_sigma, f_u, f_v = _top_singular_pairs(xs)
+    assert np.allclose(f_sigma, sigma, rtol=1e-12)
+    # singular vectors agree up to a common phase per matrix
+    phase = np.einsum("sp,sp->s", v.conj(), f_v)
+    assert np.allclose(np.abs(phase), 1.0, atol=1e-10)
+    assert np.allclose(f_v, v * phase[:, None], atol=1e-10)
+    assert np.allclose(f_u, u * phase[:, None], atol=1e-10)
     assert zeta_optimize(tensor23, 2, restarts=8) == pytest.approx(1 / 6, rel=1e-6)
 
 
