@@ -136,6 +136,8 @@ def operator_from_json(obj) -> np.ndarray:
     d = int(obj["dim"])
     re = np.asarray(obj["re"], dtype=float).reshape(d, d)
     im = np.asarray(obj["im"], dtype=float).reshape(d, d)
+    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+        raise TowerError("operator has a NaN or infinite entry")
     return re + 1j * im
 
 
@@ -333,8 +335,11 @@ class Tower:
         if self.spec.kind == "tensor" and self._stack_entries(n) > MAX_STACK_ENTRIES:
             return self._tensor_expectation(n, x)
         basis = self.level_basis(n)
-        coeffs = np.tensordot(basis.conj(), x * self.weights[None, :], axes=([1, 2], [0, 1]))
-        return np.tensordot(coeffs, basis, axes=(0, 0))
+        # sum(conj(b) * y) = conj(sum(b * conj(y))): conjugating y instead
+        # of the basis avoids copying the basis (up to 64 MB) on every call.
+        flat = basis.reshape(basis.shape[0], -1)
+        coeffs = (flat @ (x * self.weights[None, :]).conj().ravel()).conj()
+        return (coeffs @ flat).reshape(x.shape)
 
     def martingale_difference(self, k, x):
         """Difference operator ``E_k - E_{k-1}`` applied to ``x``."""

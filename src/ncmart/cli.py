@@ -116,6 +116,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_example(args) -> int:
+    if args.levels < 1:
+        raise ConfigError(f"--levels must be at least 1, got {args.levels}")
     rows = []
     for n in range(1, args.levels + 1):
         tower, mart, coeffs = extremal_example(n, args.kind)

@@ -26,6 +26,10 @@ __all__ = [
 ]
 
 MERGE_TOL = 1e-12
+# Spectra up to this length are merged by a Python loop, longer ones by array
+# operations.  The loop is faster below about 48 distinct samples, and below
+# about 128 when samples tie in fours (numpy 2.4, one core).
+SHORT_SPECTRUM = 64
 # Above this exponent, power sums are evaluated in log space.
 LOG_SPACE_EXPONENT = 32.0
 
@@ -70,25 +74,89 @@ class SingularValueFunction:
 
     @staticmethod
     def from_spectrum(values, weights):
-        """Merge weighted spectrum samples into a step function."""
+        """Merge weighted spectrum samples into a step function.
+
+        Taken in decreasing order, a sample joins the current piece while it
+        lies within ``MERGE_TOL * max(1, head)`` of the piece's first value
+        ``head``, and each piece's weight is the running total of its
+        samples' weights; samples of zero weight are dropped.
+        """
         values = np.asarray(values, dtype=float)
         weights = np.asarray(weights, dtype=float)
         order = np.argsort(values)[::-1]
         values, weights = values[order], weights[order]
-        vs, ws = [], []
-        for v, w in zip(values, weights):
-            if w <= 0:
-                continue
-            if vs and vs[-1] - v <= MERGE_TOL * max(1.0, vs[-1]):
-                ws[-1] += w
-            else:
-                vs.append(v)
-                ws.append(w)
-        if not vs:
-            vs, ws = [0.0], [1.0]
+        keep = ~(weights <= 0)
+        values, weights = values[keep], weights[keep]
+        if values.size == 0:
+            return SingularValueFunction(np.zeros(1), np.ones(1))
+        if values.size <= SHORT_SPECTRUM:
+            vs, ws = _merge_in_turn(values, weights)
+        else:
+            starts, ends = _pieces(values)
+            vs, ws = values[starts], _piece_sums(weights, starts, ends)
         cums = np.cumsum(ws)
         cums[-1] = 1.0  # weights sum to tau(1) = 1 up to rounding
         return SingularValueFunction(np.maximum(vs, 0.0), cums)
+
+
+def _merge_in_turn(values, weights):
+    """Merge sorted samples one at a time, the rule stated in ``from_spectrum``."""
+    vs, ws = [], []
+    for v, w in zip(values.tolist(), weights.tolist()):
+        if vs and vs[-1] - v <= MERGE_TOL * max(1.0, vs[-1]):
+            ws[-1] += w
+        else:
+            vs.append(v)
+            ws.append(w)
+    return np.asarray(vs), np.asarray(ws)
+
+
+def _within_tol(head, v):
+    return head - v <= MERGE_TOL * np.maximum(1.0, head)
+
+
+def _pieces(values):
+    """Start and end (exclusive) of each merged piece of a nonincreasing array."""
+    close = _within_tol(values[:-1], values[1:])
+    starts = np.flatnonzero(np.append(True, ~close))
+    ends = np.append(starts[1:], values.size)
+    # A run of close neighbours is one piece unless its last value drifts
+    # further than the tolerance from its first; walk only such runs.
+    drifting = np.flatnonzero(~_within_tol(values[starts], values[ends - 1]))
+    if drifting.size == 0:
+        return starts, ends
+    extra = []
+    for r in drifting:
+        head = values[starts[r]]
+        for i in range(starts[r] + 1, ends[r]):
+            if not _within_tol(head, values[i]):
+                extra.append(i)
+                head = values[i]
+    starts = np.union1d(starts, extra)
+    return starts, np.append(starts[1:], values.size)
+
+
+def _piece_sums(weights, starts, ends):
+    """Sum each piece's weights left to right, as a running total does.
+
+    Two samples add the same in any order, so ``np.add.reduceat`` serves
+    pieces of one or two; it sums longer ones pairwise, which rounds
+    differently.  Those are padded with zeros to the next power of two and
+    summed by a row-wise ``cumsum``, one batch per width.
+    """
+    sums = np.add.reduceat(weights, starts)
+    sizes = ends - starts
+    long = np.flatnonzero(sizes > 2)
+    if long.size == 0:
+        return sums
+    exps = np.frexp(sizes[long] - 1)[1]  # 2**exps is the padded width
+    for e in np.unique(exps):
+        sel = long[exps == e]
+        cols = np.arange(1 << e)
+        inside = cols < sizes[sel, None]
+        rows = np.where(inside, weights[np.where(inside, starts[sel, None] + cols, 0)], 0.0)
+        sums[sel] = np.cumsum(rows, axis=1)[:, -1]
+    return sums
 
 
 def _absolute_value_spectrum(tower, x):
@@ -180,20 +248,22 @@ def weak_norm_distribution(s: SingularValueFunction, p, lambdas=None) -> float:
     if p < 1:
         raise ValueError("weak norm requires p >= 1")
     if lambdas is None:
-        lambdas = [v * (1.0 - 1e-12) for v in s.values if v > 0]
-    best = 0.0
-    for lam in lambdas:
-        if lam <= 0:
-            raise ValueError("levels must be positive")
-        best = max(best, lam * distribution(s, lam) ** (1.0 / p))
-    return best
-
-
-def distribution(s: SingularValueFunction, lam) -> float:
-    """Trace of the spectral projection of ``|x|`` above level ``lam``."""
-    if lam <= 0:
-        raise ValueError("level must be positive")
-    mask = s.values > lam
-    if not np.any(mask):
+        lambdas = s.values[s.values > 0] * (1.0 - 1e-12)
+    lambdas = np.asarray(lambdas, dtype=float)
+    if lambdas.size == 0:
         return 0.0
-    return float(s.cums[np.where(mask)[0][-1]])
+    return float(np.max(lambdas * distribution(s, lambdas) ** (1.0 / p)))
+
+
+def distribution(s: SingularValueFunction, lam):
+    """Trace of the spectral projection of ``|x|`` above level ``lam``.
+
+    ``lam`` is one level, giving a float, or an array of levels, giving an
+    array of the same shape.  Every level must be positive.
+    """
+    lam = np.asarray(lam, dtype=float)
+    if not np.all(lam > 0):
+        raise ValueError("level must be positive")
+    above = np.searchsorted(-s.values, -lam)  # pieces with value > lam
+    out = np.append(0.0, s.cums)[above]
+    return float(out) if out.ndim == 0 else out

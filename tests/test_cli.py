@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -180,3 +181,29 @@ def test_norms_errors(tmp_path):
     # unreadable operator file
     assert main(["norms", "--tower", "tensor:2,2", "--operator",
                  str(tmp_path / "missing.json"), "--norm", "lp:2"]) == 2
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_norms_rejects_non_finite_operator(tmp_path, capsys, bad):
+    f = np.eye(4, dtype=complex)
+    f[0, 0] = bad
+    op = tmp_path / "f.json"
+    op.write_text(json.dumps(operator_to_json(f)))
+    assert main(["norms", "--tower", "tensor:2,2", "--operator", str(op),
+                 "--norm", "lp:1"]) == 2
+    assert "NaN or infinite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--experiment", "weak-type", "--tower", "tensor:2,2", "--seed", "1",
+     "--trials", "-3"],
+    ["verify", "--experiment", "hd-scalar", "--tower", "tensor:2,2", "--seed", "1",
+     "--trials", "0"],
+    ["verify", "--experiment", "atom-map", "--tower", "tensor:2,2", "--seed", "1",
+     "--trials", "0"],
+    ["example", "--levels", "0"],
+])
+def test_no_vacuous_runs(capsys, argv):
+    """A run that would check nothing is a usage error, not a pass."""
+    assert main(argv) == 2
+    assert "must be at least 1" in capsys.readouterr().err

@@ -50,6 +50,11 @@ def test_config_rejects_garbage():
         ExperimentConfig.from_json(
             {"experiment": "weak-type", "tower": TOWER, "trials": "many"}
         )
+    # a run that would check nothing
+    with pytest.raises(ConfigError):
+        _cfg("weak-type", trials=0)
+    with pytest.raises(ConfigError):
+        _cfg("example", extremal_n_max=0)
 
 
 def test_unknown_experiment():

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import ncmart.martingale as mg
-from ncmart.algebra import TowerError
+from ncmart.algebra import FiltrationSpec, TowerError, build_tower
 from ncmart.fractional import zeta_sequence
+from ncmart.harness import random_martingale, trial_rng
 from ncmart.spectral import lp_norm, operator_norm, singular_value_function
 
 
@@ -134,6 +135,20 @@ def test_hardy_mixed_upper_brackets(tensor222, rng):
         assert achieved == pytest.approx(bound, rel=1e-9)
     with pytest.raises(ValueError):
         mg.hardy_mixed_upper(m, 2.0)
+
+
+@pytest.mark.xfail(strict=True, reason="on a diagonal dx, _split_candidates forms dx - a "
+                   "with a dense a, which broadcasts to a wrong matrix")
+def test_hardy_mixed_upper_splits_diagonal_differences():
+    tower = build_tower(FiltrationSpec.abelian_dyadic(6))
+    m = random_martingale(tower, "gaussian", trial_rng(5, 0, 0))
+    _, decomp = mg.hardy_mixed_upper(m, 1.0)
+
+    def dense(y):
+        return np.diag(y) if np.ndim(y) == 1 else y
+
+    for (a, b), dx in zip(decomp, m.differences):
+        assert np.allclose(dense(a) + dense(b), dense(dx))
 
 
 def test_hd_norm_single_difference(tensor222, rng):

@@ -1,12 +1,15 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncmart.spectral as spectral
 from ncmart.spectral import (
+    MERGE_TOL,
     SingularValueFunction,
     distribution,
     lorentz_norm,
@@ -74,6 +77,65 @@ def test_json_roundtrip():
     s = SingularValueFunction(np.array([3.0, 1.0]), np.array([0.25, 1.0]))
     r = SingularValueFunction.from_json(json.loads(json.dumps(s.to_json())))
     assert np.array_equal(r.values, s.values) and np.array_equal(r.cums, s.cums)
+
+
+def _merge_sequentially(values, weights):
+    """One sample at a time: the reference for ``from_spectrum``."""
+    values = np.asarray(values, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    order = np.argsort(values)[::-1]
+    vs, ws = [], []
+    for v, w in zip(values[order], weights[order]):
+        if w <= 0:
+            continue
+        if vs and vs[-1] - v <= MERGE_TOL * max(1.0, vs[-1]):
+            ws[-1] += w
+        else:
+            vs.append(v)
+            ws.append(w)
+    if not vs:
+        vs, ws = [0.0], [1.0]
+    cums = np.cumsum(ws)
+    cums[-1] = 1.0
+    return np.maximum(vs, 0.0), cums
+
+
+@st.composite
+def clustered_spectra(draw):
+    """Spectra with exact ties and chains of gaps near ``MERGE_TOL``.
+
+    Each cluster steps down from its centre by multiples of the tolerance
+    at the centre, so a chain of individually close values can drift past
+    the tolerance from its first value.
+    """
+    values = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        centre = draw(st.sampled_from([0.0, 1e-13, 0.5, 1.0, 3.0, 100.0])
+                      | st.floats(min_value=0.0, max_value=100.0))
+        steps = draw(st.lists(st.sampled_from([0.0, 0.3, 0.6, 0.9, 1.0, 1.1, 2.0]),
+                              max_size=10))
+        offsets = np.cumsum([0.0] + steps) * MERGE_TOL * max(1.0, centre)
+        values.extend(np.maximum(centre - offsets, 0.0))
+    weights = np.asarray(draw(st.lists(
+        st.just(0.0) | st.floats(min_value=0.01, max_value=1.0),
+        min_size=len(values), max_size=len(values))))
+    if draw(st.booleans()):
+        weights[:] = 0.0
+    if weights.sum() > 0:
+        weights = weights / weights.sum()
+    return np.asarray(values), weights
+
+
+@pytest.mark.parametrize("short", [0, spectral.SHORT_SPECTRUM], ids=["arrays", "loop"])
+@settings(max_examples=200, deadline=None)
+@given(spectrum=clustered_spectra())
+def test_from_spectrum_matches_sequential_merge(short, spectrum):
+    values, weights = spectrum
+    with mock.patch.object(spectral, "SHORT_SPECTRUM", short):
+        s = SingularValueFunction.from_spectrum(values, weights)
+    ref_values, ref_cums = _merge_sequentially(values, weights)
+    assert np.array_equal(s.values, ref_values)
+    assert np.array_equal(s.cums, ref_cums)
 
 
 def test_from_spectrum_merges_ties():
@@ -189,6 +251,21 @@ def test_distribution_values():
     assert distribution(s, 1.0) == 0.25
     assert distribution(s, 2.9) == 0.25
     assert distribution(s, 3.0) == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(step_functions(), st.lists(st.floats(min_value=1e-6, max_value=120.0), max_size=8))
+def test_distribution_array_matches_scalar_calls(s, extra):
+    lams = np.concatenate([s.values[s.values > 0], s.values[s.values > 0] * 0.999, extra])
+    got = distribution(s, lams)
+    assert got.shape == lams.shape
+    assert got.tolist() == [distribution(s, float(lam)) for lam in lams]
+    # the last piece above each level, found by a mask
+    above = [np.flatnonzero(s.values > lam) for lam in lams]
+    assert got.tolist() == [float(s.cums[a[-1]]) if a.size else 0.0 for a in above]
+    assert isinstance(distribution(s, 1.0), float)
+    with pytest.raises(ValueError):
+        distribution(s, np.array([1.0, 0.0]))
 
 
 def test_quasi_triangle_distribution(tensor222, rng):
