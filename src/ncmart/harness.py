@@ -1,11 +1,11 @@
-"""Experiment harness: sampling, ratio experiments and reports.
+"""Experiment harness: sampling, the experiment runner and reports.
 
-Every experiment is driven by an :class:`ExperimentConfig` and produces a
-:class:`Report`.  Per-trial randomness derives from ``(seed, grid_index,
-trial_index)`` so serial and parallel runs produce identical reports.
-Hard per-operator inequalities are asserted (violations land in
-``failures`` with a reproduction seed); theorem-level bounds only report
-their empirical constants.
+Every experiment turns an :class:`ExperimentConfig` into a :class:`Report`;
+all but ``example`` are :class:`Experiment` declarations run by one loop.
+Per-trial randomness derives from ``(seed, grid_index, trial_index)`` so
+serial and threaded runs produce identical reports.  Hard per-operator
+inequalities are asserted (violations land in ``failures`` with a
+reproduction seed); theorem-level bounds only report their empirical constants.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ import csv
 import json
 import math
 import time
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -55,6 +56,10 @@ SCHEMA_VERSION = 1
 HARD_SLACK = 1e-9
 # Ratios whose denominator falls below this are excluded from statistics.
 DENOMINATOR_FLOOR = 1e-12
+# Sub-streams of the companion trials: h1-to-bmo's column variant and
+# embedding-lemmas' pair checks, seeded ``(seed, stream, trial)``.
+COLUMN_STREAM = 10_000
+PAIR_STREAM = 20_000
 
 
 class ConfigError(ValueError):
@@ -83,10 +88,9 @@ class ExperimentConfig:
     @staticmethod
     def from_json(obj) -> "ExperimentConfig":
         try:
-            tower = FiltrationSpec.from_json(obj["tower"])
             return ExperimentConfig(
                 experiment=obj["experiment"],
-                tower=tower,
+                tower=FiltrationSpec.from_json(obj["tower"]),
                 trials=int(obj.get("trials", 200)),
                 seed=int(obj.get("seed", 0)),
                 alphas=tuple(float(a) for a in obj.get("alphas", ())),
@@ -129,27 +133,11 @@ class Report:
         return not self.failures
 
     def to_json(self):
-        return {
-            "schema_version": self.schema_version,
-            "experiment": self.experiment,
-            "config": self.config,
-            "summary": self.summary,
-            "trials": self.trials,
-            "failures": self.failures,
-            "wall_time": self.wall_time,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @staticmethod
     def from_json(obj) -> "Report":
-        return Report(
-            experiment=obj["experiment"],
-            config=obj["config"],
-            trials=obj["trials"],
-            summary=obj["summary"],
-            failures=obj["failures"],
-            wall_time=obj["wall_time"],
-            schema_version=obj["schema_version"],
-        )
+        return Report(**{f.name: obj[f.name] for f in fields(Report)})
 
 
 def emit_report(report: Report, fmt="json", path=None):
@@ -166,9 +154,8 @@ def emit_report(report: Report, fmt="json", path=None):
         for key, stats in sorted(report.summary.items()):
             if not isinstance(stats, dict):
                 continue
-            row = {"experiment": report.experiment, "grid": key}
-            row.update({k: v for k, v in stats.items() if np.isscalar(v)})
-            rows.append(row)
+            rows.append({"experiment": report.experiment, "grid": key,
+                         **{k: v for k, v in stats.items() if np.isscalar(v)}})
         fieldnames = sorted({k for r in rows for k in r}, key=lambda s: (s != "experiment", s))
         with open(path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=fieldnames)
@@ -263,17 +250,16 @@ def extremal_example(n, kind="classical"):
     return tower, mg.adapt(tower, f), coeffs
 
 
+
 # ---------------------------------------------------------------------------
-# experiment machinery
+# experiment runner
 
 
 def _resolve_coeffs(tower, coeffs_cfg) -> CoefficientSequence:
     if isinstance(coeffs_cfg, CoefficientSequence):
         return coeffs_cfg
-    if coeffs_cfg == "auto":
-        return zeta_sequence(tower, "auto")
-    if coeffs_cfg == "optimize":
-        return zeta_sequence(tower, "optimize")
+    if coeffs_cfg in ("auto", "optimize"):
+        return zeta_sequence(tower, coeffs_cfg)
     try:
         return CoefficientSequence(tuple(float(v) for v in coeffs_cfg), "user")
     except (TypeError, ValueError) as exc:
@@ -284,8 +270,7 @@ def _summary_stats(ratios):
     arr = np.asarray([r for r in ratios if r is not None], dtype=float)
     if arr.size == 0:
         return {"n_used": 0}
-    half = arr[: arr.size // 2] if arr.size >= 2 else arr
-    first_half_max = float(np.max(half))
+    first_half_max = float(np.max(arr[: max(arr.size // 2, 1)]))
     overall = float(np.max(arr))
     return {
         "n_used": int(arr.size),
@@ -298,499 +283,363 @@ def _summary_stats(ratios):
     }
 
 
-def _run_ratio_grid(cfg, grid, trial_fn, threads=1):
-    """Run ``trials`` ratio samples per grid point; collect stats/failures."""
-    tower = build_tower(cfg.tower)
-    coeffs = _resolve_coeffs(tower, cfg.coeffs)
-    report = Report(cfg.experiment, cfg.to_json())
-
-    def one(args):
-        gi, gp, ti = args
-        rng = trial_rng(cfg.seed, gi, ti)
-        try:
-            num, den = trial_fn(tower, coeffs, rng, gp)
-        except ArithmeticError as exc:
-            return {"grid": gi, "trial": ti, "error": str(exc)}
-        rec = {"grid": gi, "trial": ti, "numerator": num, "denominator": den}
-        if den < DENOMINATOR_FLOOR:
-            rec["ratio"] = None
-        else:
-            rec["ratio"] = num / den
-        return rec
-
-    tasks = [(gi, gp, ti) for gi, gp in enumerate(grid) for ti in range(cfg.trials)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(one, tasks))
-    else:
-        records = [one(t) for t in tasks]
-    report.trials = records
-
-    for gi, gp in enumerate(grid):
-        ratios = [r.get("ratio") for r in records if r["grid"] == gi and "error" not in r]
-        stats = _summary_stats(ratios)
-        stats["point"] = list(gp)
-        report.summary[f"grid_{gi}"] = stats
-        for r in records:
-            if r["grid"] != gi:
-                continue
-            if "error" in r:
-                report.failures.append(
-                    {"check": "trial_error", "grid": list(gp), "trial": r["trial"],
-                     "seed": [cfg.seed, gi, r["trial"]], "detail": r["error"]}
-                )
-            elif r["ratio"] is not None and not math.isfinite(r["ratio"]):
-                report.failures.append(
-                    {"check": "ratio_not_finite", "grid": list(gp), "trial": r["trial"],
-                     "seed": [cfg.seed, gi, r["trial"]], "detail": r["ratio"]}
-                )
-    return report
+def _failure(check, grid, trial, seed, detail):
+    """The failure record: the check, where it failed and how to replay it."""
+    return {"check": check, "grid": grid, "trial": trial, "seed": seed, "detail": detail}
 
 
-def _attach_extremal(report, cfg, ratio_fn):
-    """Ratios along the extremal family, recorded for both realizations."""
-    rows = []
-    for n in range(1, cfg.extremal_n_max + 1):
-        row = {"n": n}
-        for kind in ("classical", "noncommutative"):
-            tower, mart, coeffs = extremal_example(n, kind)
-            row[kind] = ratio_fn(tower, mart, coeffs)
-        rows.append(row)
-    report.summary["extremal_family"] = rows
+def _coords(point):
+    return list(point) if isinstance(point, tuple) else [point]
 
 
-# ---------------------------------------------------------------------------
-# individual experiments
+# Points from ``cfg.<field>``, or from ``default`` (points, or a function of
+# the tower) when that is empty; each must pass ``valid(point, tower)``.
+Grid = namedtuple("Grid", "field default valid message")
+# What a trial sees; ``points`` holds every grid's points by config field.
+Run = namedtuple("Run", "cfg tower coeffs points")
+# One trial: values by name (worst slacks, or the ratio), failures as
+# ``(check, grid, detail)``, and the fields of its ``trials`` record, if kept.
+Outcome = namedtuple("Outcome", "values failures record", defaults=((), None))
 
 
-def _require(cond, message):
-    if not cond:
-        raise ConfigError(message)
+@dataclass(frozen=True)
+class Experiment:
+    """A ``verify`` experiment as data; calling it runs it.
+
+    Each point of ``grids[0]`` (one point ``()`` without grids) gets
+    ``cfg.trials`` trials seeded ``(seed, grid_index, trial)``; a companion
+    ``(stream, count, trial)`` adds ``count(cfg.trials)`` trials at ``()``
+    seeded ``(seed, stream, trial)``.  A ratio experiment names a martingale
+    ``profile`` (``"config"``: the config's) and its trials are ratios
+    ``trial(point, x, src, coeffs) -> (num, den)`` with ``src = x``, which
+    the extremal family reuses on centred martingales: ``extremal(run)``
+    names them.  Other trials are ``trial(run, point, rng) -> Outcome``.
+    ``summary(run, report, values)`` returns the experiment's own entries.
+    """
+
+    grids: tuple
+    trial: object
+    profile: str = None
+    extremal: object = None
+    companions: tuple = ()
+    summary: object = lambda run, report, values: {}
+
+    def __call__(self, cfg, threads=1):
+        tower = build_tower(cfg.tower)
+        points = {}
+        for g in self.grids:
+            resolved = getattr(cfg, g.field) or g.default
+            points[g.field] = resolved(tower) if callable(resolved) else resolved
+            if not all(g.valid(p, tower) for p in points[g.field]):
+                raise ConfigError(g.message)
+        run = Run(cfg, tower, _resolve_coeffs(tower, cfg.coeffs), points)
+        grid = points[self.grids[0].field] if self.grids else ((),)
+        tasks = [(gi, p, ti, self.trial) for gi, p in enumerate(grid) for ti in range(cfg.trials)]
+        tasks += [(stream, (), ti, trial) for stream, count, trial in self.companions
+                  for ti in range(count(cfg.trials))]
+        profile = cfg.profile if self.profile == "config" else self.profile
+
+        def one(task):
+            stream, point, ti, trial = task
+            rng = trial_rng(cfg.seed, stream, ti)
+            if self.profile is None:
+                return trial(run, point, rng)
+            try:  # an arithmetic failure in a ratio trial is recorded, not raised
+                x = random_martingale(tower, profile, rng)
+                num, den = trial(point, x, x, run.coeffs)
+            except ArithmeticError as exc:
+                return Outcome({}, [("trial_error", _coords(point), str(exc))], {"error": str(exc)})
+            ratio = None if den < DENOMINATOR_FLOOR else num / den
+            bad = ratio is not None and not math.isfinite(ratio)
+            failures = [("ratio_not_finite", _coords(point), ratio)] if bad else []
+            return Outcome({stream: ratio}, failures,
+                           {"numerator": num, "denominator": den, "ratio": ratio})
+
+        with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:  # no thread starts unless used
+            outcomes = list((pool.map if threads > 1 else map)(one, tasks))
+
+        report = Report(cfg.experiment, cfg.to_json())
+        values = {}
+        for (stream, _, ti, _), out in zip(tasks, outcomes):
+            if out.record is not None and stream < len(grid):
+                report.trials.append({"grid": stream, "trial": ti, **out.record})
+            for name, value in out.values.items():
+                values.setdefault(name, []).append(value)
+            report.failures += [_failure(check, where, ti, [cfg.seed, stream, ti], detail)
+                                for check, where, detail in out.failures]
+        if self.profile is not None:
+            for gi, point in enumerate(grid):
+                report.summary[f"grid_{gi}"] = {**_summary_stats(values.get(gi, ())),
+                                                "point": _coords(point)}
+        if self.extremal is not None:
+            spec = self.extremal(run)
+            report.summary["extremal_family"] = [
+                {"n": n, **{kind: _extremal_row(spec, *extremal_example(n, kind))
+                            for kind in ("classical", "noncommutative")}}
+                for n in range(1, cfg.extremal_n_max + 1)
+            ]
+        report.summary.update(self.summary(run, report, values))
+        return report
 
 
-def _weak_type(cfg, threads=1):
-    alphas = cfg.alphas or (0.25, 0.5, 0.75)
-    _require(all(0 < a < 1 for a in alphas), "weak-type needs alphas in (0,1)")
+def _extremal_row(spec, tower, mart, coeffs):
+    """Ratios ``(trial, point)`` of one extremal realization and its centred martingale."""
+    centered = centered_martingale(mart)
 
-    def trial(tower, coeffs, rng, gp):
-        (alpha,) = gp
-        x = random_martingale(tower, cfg.profile, rng)
-        y = fractional_integral(x, alpha, coeffs).final
-        num = weak_norm(singular_value_function(tower, y), 1.0 / (1.0 - alpha))
-        den = lp_norm(singular_value_function(tower, x.final), 1.0)
-        return num, den
+    def value(ratio, point):
+        num, den = ratio(point, mart, centered, coeffs)
+        return num / den
 
-    report = _run_ratio_grid(cfg, [(a,) for a in alphas], trial, threads)
-
-    def extremal(tower, mart, coeffs):
-        y = fractional_integral(centered_martingale(mart), 0.5, coeffs).final
-        num = weak_norm(singular_value_function(tower, y), 2.0)
-        den = lp_norm(singular_value_function(tower, mart.final), 1.0)
-        l2 = lp_norm(singular_value_function(tower, y), 2.0)
-        return {"weak_ratio": num / den, "strong_l2_over_l1": l2 / den}
-
-    _attach_extremal(report, cfg, extremal)
-    return report
+    return {k: value(*v) for k, v in spec.items()} if isinstance(spec, dict) else value(*spec)
 
 
-def _lp_lq(cfg, threads=1):
-    pqs = cfg.pq_pairs or ((4.0 / 3.0, 4.0), (2.0, 4.0), (1.5, 3.0))
-    _require(all(1 < p < q for p, q in pqs), "lp-lq needs 1 < p < q")
-    _require(all(0 < 1 / p - 1 / q < 1 for p, q in pqs), "lp-lq order must be in (0,1)")
-
-    def trial(tower, coeffs, rng, gp):
-        p, q = gp
-        alpha = 1.0 / p - 1.0 / q
-        x = random_martingale(tower, "gaussian", rng)
-        y = fractional_integral(x, alpha, coeffs).final
-        num = lp_norm(singular_value_function(tower, y), q)
-        den = lp_norm(singular_value_function(tower, x.final), p)
-        return num, den
-
-    report = _run_ratio_grid(cfg, list(pqs), trial, threads)
-
-    def extremal(tower, mart, coeffs):
-        out = {}
-        centered = centered_martingale(mart)
-        for p, q in pqs:
-            alpha = 1.0 / p - 1.0 / q
-            y = fractional_integral(centered, alpha, coeffs).final
-            num = lp_norm(singular_value_function(tower, y), q)
-            den = lp_norm(singular_value_function(tower, mart.final), p)
-            out[f"p{p:g}_q{q:g}"] = num / den
-        return out
-
-    _attach_extremal(report, cfg, extremal)
-    return report
+def _weak_ratio(alpha, x, src, coeffs):
+    y = fractional_integral(src, alpha, coeffs).final
+    return (weak_norm(singular_value_function(x.tower, y), 1.0 / (1.0 - alpha)),
+            lp_norm(singular_value_function(x.tower, x.final), 1.0))
 
 
-def _hardy_column(cfg, threads=1):
-    alphas = cfg.alphas or (0.25, 0.5, 0.75)
-    _require(all(0 < a < 1 for a in alphas), "hardy-column needs alphas in (0,1)")
-
-    def trial(tower, coeffs, rng, gp):
-        (alpha,) = gp
-        x = random_martingale(tower, "gaussian", rng)
-        y = fractional_integral(x, alpha, coeffs)
-        num = mg.hardy_column_norm(y, 1.0 / (1.0 - alpha))
-        den = mg.hardy_column_norm(x, 1.0)
-        return num, den
-
-    report = _run_ratio_grid(cfg, [(a,) for a in alphas], trial, threads)
-
-    def extremal(tower, mart, coeffs):
-        y = fractional_integral(centered_martingale(mart), 0.5, coeffs)
-        return mg.hardy_column_norm(y, 2.0) / mg.hardy_column_norm(mart, 1.0)
-
-    _attach_extremal(report, cfg, extremal)
-    return report
+def _lp_lq_ratio(pq, x, src, coeffs):
+    p, q = pq
+    y = fractional_integral(src, 1.0 / p - 1.0 / q, coeffs).final
+    return (lp_norm(singular_value_function(x.tower, y), q),
+            lp_norm(singular_value_function(x.tower, x.final), p))
 
 
-def _l1a_to_bmo(cfg, threads=1):
-    alphas = cfg.alphas or (0.25, 0.5, 0.75)
-    _require(all(0 < a < 1 for a in alphas), "l1a-to-bmo needs alphas in (0,1)")
-
-    def trial(tower, coeffs, rng, gp):
-        (alpha,) = gp
-        x = random_martingale(tower, "gaussian", rng)
-        y = fractional_integral(x, alpha, coeffs)
-        num = mg.bmo_norm(y)
-        den = lp_norm(singular_value_function(tower, x.final), 1.0 / alpha)
-        return num, den
-
-    report = _run_ratio_grid(cfg, [(a,) for a in alphas], trial, threads)
-
-    def extremal(tower, mart, coeffs):
-        y = fractional_integral(centered_martingale(mart), 0.5, coeffs)
-        den = lp_norm(singular_value_function(tower, mart.final), 2.0)
-        return mg.bmo_norm(y) / den
-
-    _attach_extremal(report, cfg, extremal)
-    return report
+def _hardy_ratio(alpha, x, src, coeffs):
+    y = fractional_integral(src, alpha, coeffs)
+    return mg.hardy_column_norm(y, 1.0 / (1.0 - alpha)), mg.hardy_column_norm(x, 1.0)
 
 
-def _lorentz_uniform(cfg, threads=1):
-    alphas = cfg.alphas or (0.25, 0.5, 0.75)
-    _require(all(0 < a < 1 for a in alphas), "lorentz-uniform needs alphas in (0,1)")
-
-    def trial(tower, coeffs, rng, gp):
-        (alpha,) = gp
-        x = random_martingale(tower, "gaussian", rng)
-        y = fractional_integral(x, alpha, coeffs).final
-        num = operator_norm(y)
-        den = lorentz_norm(singular_value_function(tower, x.final), 1.0 / alpha, 1.0)
-        return num, den
-
-    report = _run_ratio_grid(cfg, [(a,) for a in alphas], trial, threads)
-
-    def extremal(tower, mart, coeffs):
-        y = fractional_integral(centered_martingale(mart), 0.5, coeffs).final
-        den = lorentz_norm(singular_value_function(tower, mart.final), 2.0, 1.0)
-        return operator_norm(y) / den
-
-    _attach_extremal(report, cfg, extremal)
-    return report
+def _bmo_ratio(alpha, x, src, coeffs):
+    return (mg.bmo_norm(fractional_integral(src, alpha, coeffs)),
+            lp_norm(singular_value_function(x.tower, x.final), 1.0 / alpha))
 
 
-def _h1_to_bmo(cfg, threads=1):
-    def trial(tower, coeffs, rng, gp):
-        x = random_martingale(tower, "gaussian", rng)
-        y = iterated_transform(x, 1.0, coeffs)
-        num = mg.bmo_norm(y)
-        den, _ = mg.hardy_mixed_upper(x, 1.0)
-        return num, den
-
-    report = _run_ratio_grid(cfg, [()], trial, threads)
-
-    # exact-column bracketing companion: same transform, column-only norms
-    tower = build_tower(cfg.tower)
-    coeffs = _resolve_coeffs(tower, cfg.coeffs)
-    ratios = []
-    for ti in range(min(cfg.trials, 100)):
-        rng = trial_rng(cfg.seed, 10_000, ti)
-        x = random_martingale(tower, "gaussian", rng)
-        y = iterated_transform(x, 1.0, coeffs)
-        den = mg.hardy_column_norm(x, 1.0)
-        if den > DENOMINATOR_FLOOR:
-            ratios.append(mg.bmo_column_norm(y) / den)
-    report.summary["column_variant"] = _summary_stats(ratios)
-    return report
+def _lorentz_ratio(alpha, x, src, coeffs):
+    return (operator_norm(fractional_integral(src, alpha, coeffs).final),
+            lorentz_norm(singular_value_function(x.tower, x.final), 1.0 / alpha, 1.0))
 
 
-def _embedding_lemmas(cfg, threads=1):
-    tower = build_tower(cfg.tower)
-    coeffs = _resolve_coeffs(tower, cfg.coeffs)
-    levels = cfg.levels or tuple(range(1, tower.n_levels + 1))
-    alphas = cfg.alphas or tuple(a / 10.0 for a in range(1, 10))
-    ps = (1.1, 1.25, 1.5, 1.75)
-    report = Report(cfg.experiment, cfg.to_json())
-    worst = {"basic_i": math.inf, "basic_ii": math.inf, "embed_inf2": math.inf,
-             "embed_21": math.inf, "quasi_triangle": math.inf, "selfadjoint": 0.0}
-
-    for gi, k in enumerate(levels):
-        zeta = coeffs.values[k - 1]
-        for ti in range(cfg.trials):
-            rng = trial_rng(cfg.seed, gi, ti)
-            a = tower.project_difference(k, tower.random_element(rng))
-            s = singular_value_function(tower, a)
-            n1, n2, ninf = lp_norm(s, 1.0), lp_norm(s, 2.0), s.values[0]
-            if n2 < 1e-13:
-                continue
-            slack = 2 * zeta**-0.5 * n1 - n2
-            worst["embed_21"] = min(worst["embed_21"], slack)
-            worst["embed_inf2"] = min(worst["embed_inf2"], zeta**-0.5 * n2 - ninf)
-            for alpha in alphas:
-                worst["basic_i"] = min(
-                    worst["basic_i"],
-                    2.0**alpha * n1 - zeta**alpha * lp_norm(s, 1.0 / (1.0 - alpha)),
-                )
-            for p in ps:
-                alpha = 1.0 / p - 0.5
-                worst["basic_ii"] = min(worst["basic_ii"], lp_norm(s, p) - zeta**alpha * n2)
-            for name in ("basic_i", "basic_ii", "embed_inf2", "embed_21"):
-                if worst[name] < -HARD_SLACK:
-                    report.failures.append(
-                        {"check": name, "grid": {"level": k}, "trial": ti,
-                         "seed": [cfg.seed, gi, ti], "detail": worst[name]}
-                    )
-                    worst[name] = math.inf
-
-    # quasi-triangle distribution inequality and self-adjointness
-    for ti in range(cfg.trials):
-        rng = trial_rng(cfg.seed, 20_000, ti)
-        x1, x2 = tower.random_element(rng), tower.random_element(rng)
-        s12 = singular_value_function(tower, x1 + x2)
-        s1 = singular_value_function(tower, x1)
-        s2 = singular_value_function(tower, x2)
-        lams = np.concatenate([s12.values[s12.values > 0] * 0.999, [rng.uniform(0.1, 2.0)]])
-        slacks = (2 * lams * (distribution(s1, lams / 2) + distribution(s2, lams / 2))
-                  - lams * distribution(s12, lams))
-        worst["quasi_triangle"] = min(worst["quasi_triangle"], float(np.min(slacks)))
-        for i in np.flatnonzero(slacks < -HARD_SLACK):
-            report.failures.append(
-                {"check": "quasi_triangle", "grid": {"lambda": float(lams[i])}, "trial": ti,
-                 "seed": [cfg.seed, 20_000, ti], "detail": float(slacks[i])}
-            )
-        m1 = random_martingale(tower, "gaussian", rng)
-        m2 = random_martingale(tower, "gaussian", rng)
-        res = selfadjointness_check(m1, m2, 0.5, coeffs)
-        worst["selfadjoint"] = max(worst["selfadjoint"], res["abs_error"])
-        if not res["ok"]:
-            report.failures.append(
-                {"check": "selfadjoint", "grid": {}, "trial": ti,
-                 "seed": [cfg.seed, 20_000, ti], "detail": res["abs_error"]}
-            )
-
-    for k in levels:
-        report.summary[f"level_{k}"] = embedding_constants_check(
-            tower, k, coeffs, samples=min(cfg.trials, 200), seed=cfg.seed
-        )
-    report.summary["worst_slacks"] = {k: (None if v is math.inf else v) for k, v in worst.items()}
-    return report
+def _h1_ratio(point, x, src, coeffs):
+    return mg.bmo_norm(iterated_transform(src, 1.0, coeffs)), mg.hardy_mixed_upper(x, 1.0)[0]
 
 
-def _singular_value_lemma(cfg, threads=1):
-    tower = build_tower(cfg.tower)
-    coeffs = _resolve_coeffs(tower, cfg.coeffs)
-    alphas = cfg.alphas or (0.1, 0.2, 0.3, 0.4)
-    _require(all(0 < a < 0.5 for a in alphas), "singular-value lemma needs alphas in (0, 1/2)")
-    report = Report(cfg.experiment, cfg.to_json())
-    worst_mu = math.inf
-    worst_hardy = math.inf
-    for gi, alpha in enumerate(alphas):
-        for ti in range(cfg.trials):
-            rng = trial_rng(cfg.seed, gi, ti)
-            a = random_martingale(tower, "gaussian", rng)
-            s_a = singular_value_function(tower, mg.column_square_function(a))
-            s_1 = singular_value_function(
-                tower, mg.column_square_function(fractional_integral(a, alpha, coeffs))
-            )
-            s_2 = singular_value_function(
-                tower, mg.column_square_function(iterated_transform(a, 2 * alpha, coeffs))
-            )
-            ts = np.concatenate([[0.0], s_1.cums[:-1], (s_1.cums[:-1] + np.diff(s_1.cums, prepend=0)[:-1] / 2)])
-            for t in ts:
-                lhs = s_1.value_at(t)
-                rhs = math.sqrt(s_2.value_at(t / 2) * s_a.value_at(t / 2))
-                worst_mu = min(worst_mu, rhs - lhs)
-                if lhs > rhs + HARD_SLACK:
-                    report.failures.append(
-                        {"check": "singular_value_lemma", "grid": {"alpha": alpha, "t": float(t)},
-                         "trial": ti, "seed": [cfg.seed, gi, ti], "detail": lhs - rhs}
-                    )
-            u = 1.0 / (1.0 - alpha)
-            lhs = mg.hardy_column_norm(fractional_integral(a, alpha, coeffs), u)
-            rhs = (
-                2.0 ** (1.0 - alpha)
-                * math.sqrt(
-                    mg.hardy_column_norm(iterated_transform(a, 2 * alpha, coeffs), 1.0 / (1.0 - 2 * alpha))
-                )
-                * math.sqrt(mg.hardy_column_norm(a, 1.0))
-            )
-            worst_hardy = min(worst_hardy, rhs - lhs)
-            if lhs > rhs + HARD_SLACK:
-                report.failures.append(
-                    {"check": "double_order_hardy_lemma", "grid": {"alpha": alpha},
-                     "trial": ti, "seed": [cfg.seed, gi, ti], "detail": lhs - rhs}
-                )
-    report.summary["worst_slacks"] = {"singular_value": worst_mu, "double_order_hardy": worst_hardy}
-    return report
+def _h1_column_ratio(point, x, src, coeffs):
+    """Exact-column bracketing companion: the same transform, column norms only."""
+    return mg.bmo_column_norm(iterated_transform(src, 1.0, coeffs)), mg.hardy_column_norm(x, 1.0)
 
 
-def _hd_scalar(cfg, threads=1):
-    tower = build_tower(cfg.tower)
-    coeffs = _resolve_coeffs(tower, cfg.coeffs)
-    pqs = cfg.pq_pairs or ((0.5, 1.0), (0.5, 0.75), (0.75, 1.0))
-    _require(all(0 < p < q <= 1 for p, q in pqs), "hd-scalar needs 0 < p < q <= 1")
-    levels = cfg.levels or tuple(range(1, tower.n_levels + 1))
-    report = Report(cfg.experiment, cfg.to_json())
-    worst = math.inf
-    for gi, k in enumerate(levels):
-        zeta = coeffs.values[k - 1]
-        for ti in range(cfg.trials):
-            rng = trial_rng(cfg.seed, gi, ti)
-            a = tower.conditional_expectation(k, tower.random_element(rng))
-            s = singular_value_function(tower, a)
-            for p, q in pqs:
-                gamma = 1.0 / p - 1.0 / q
-                np_norm = lp_norm(s, p)
-                if np_norm < 1e-13:
-                    continue
-                # samples normalized in L_p; the claim is scale-invariant then
-                nq = lp_norm(s, q) / np_norm
-                slack = 1.0 - zeta ** (gamma * q) * nq**q
-                worst = min(worst, slack)
-                if slack < -HARD_SLACK:
-                    report.failures.append(
-                        {"check": "hd_scalar", "grid": {"level": k, "p": p, "q": q},
-                         "trial": ti, "seed": [cfg.seed, gi, ti], "detail": slack}
-                    )
-    report.summary["worst_slack"] = worst
-    return report
+def _embedding_trial(run, k, rng):
+    tower, zeta = run.tower, run.coeffs.values[k - 1]
+    s = singular_value_function(tower, tower.project_difference(k, tower.random_element(rng)))
+    n1, n2, ninf = lp_norm(s, 1.0), lp_norm(s, 2.0), s.values[0]
+    if n2 < 1e-13:
+        return Outcome({})
+    worst = {
+        "basic_i": min(2.0**a * n1 - zeta**a * lp_norm(s, 1.0 / (1.0 - a))
+                       for a in run.points["alphas"]),
+        "basic_ii": min(lp_norm(s, p) - zeta ** (1.0 / p - 0.5) * n2
+                        for p in (1.1, 1.25, 1.5, 1.75)),
+        "embed_inf2": zeta**-0.5 * n2 - ninf,
+        "embed_21": 2 * zeta**-0.5 * n1 - n2,
+    }
+    return Outcome(worst, [(name, {"level": k}, v) for name, v in worst.items() if v < -HARD_SLACK])
+
+
+def _pair_trial(run, point, rng):
+    """Quasi-triangle distribution inequality and self-adjointness on a pair."""
+    tower = run.tower
+    x1, x2 = tower.random_element(rng), tower.random_element(rng)
+    s12, s1, s2 = (singular_value_function(tower, x) for x in (x1 + x2, x1, x2))
+    lams = np.concatenate([s12.values[s12.values > 0] * 0.999, [rng.uniform(0.1, 2.0)]])
+    slacks = (2 * lams * (distribution(s1, lams / 2) + distribution(s2, lams / 2))
+              - lams * distribution(s12, lams))
+    failures = [("quasi_triangle", {"lambda": float(lams[i])}, float(slacks[i]))
+                for i in np.flatnonzero(slacks < -HARD_SLACK)]
+    pair = [random_martingale(tower, "gaussian", rng) for _ in range(2)]
+    res = selfadjointness_check(*pair, 0.5, run.coeffs)
+    if not res["ok"]:
+        failures.append(("selfadjoint", {}, res["abs_error"]))
+    worst = {"quasi_triangle": float(np.min(slacks)), "selfadjoint": res["abs_error"]}
+    return Outcome(worst, failures)
+
+
+def _embedding_summary(run, report, values):
+    worst = {name: min(values.get(name, ()), default=None)
+             for name in ("basic_i", "basic_ii", "embed_inf2", "embed_21", "quasi_triangle")}
+    worst["selfadjoint"] = max([0.0, *values["selfadjoint"]])
+    return {"worst_slacks": worst, **{
+        f"level_{k}": embedding_constants_check(run.tower, k, run.coeffs, seed=run.cfg.seed,
+                                                samples=min(run.cfg.trials, 200))
+        for k in run.points["levels"]}}
+
+
+def _singular_value_trial(run, alpha, rng):
+    a = random_martingale(run.tower, "gaussian", rng)
+    y1 = fractional_integral(a, alpha, run.coeffs)
+    y2 = iterated_transform(a, 2 * alpha, run.coeffs)
+    s_a, s_1, s_2 = (singular_value_function(run.tower, mg.column_square_function(m))
+                     for m in (a, y1, y2))
+    ts = np.concatenate([[0.0], s_1.cums[:-1],
+                         (s_1.cums[:-1] + np.diff(s_1.cums, prepend=0)[:-1] / 2)])
+    worst_mu, failures = math.inf, []
+    for t in ts:
+        lhs = s_1.value_at(t)
+        rhs = math.sqrt(s_2.value_at(t / 2) * s_a.value_at(t / 2))
+        worst_mu = min(worst_mu, rhs - lhs)
+        if lhs > rhs + HARD_SLACK:
+            failures.append(("singular_value_lemma", {"alpha": alpha, "t": float(t)}, lhs - rhs))
+    lhs = mg.hardy_column_norm(y1, 1.0 / (1.0 - alpha))
+    rhs = (2.0 ** (1.0 - alpha)
+           * math.sqrt(mg.hardy_column_norm(y2, 1.0 / (1.0 - 2 * alpha)))
+           * math.sqrt(mg.hardy_column_norm(a, 1.0)))
+    if lhs > rhs + HARD_SLACK:
+        failures.append(("double_order_hardy_lemma", {"alpha": alpha}, lhs - rhs))
+    return Outcome({"singular_value": worst_mu, "double_order_hardy": rhs - lhs}, failures)
+
+
+def _hd_scalar_trial(run, k, rng):
+    tower, zeta = run.tower, run.coeffs.values[k - 1]
+    s = singular_value_function(tower, tower.conditional_expectation(k, tower.random_element(rng)))
+    slacks = []
+    for p, q in run.points["pq_pairs"]:
+        gamma = 1.0 / p - 1.0 / q
+        np_norm = lp_norm(s, p)
+        if np_norm < 1e-13:
+            continue
+        # samples normalized in L_p; the claim is scale-invariant then
+        nq = lp_norm(s, q) / np_norm
+        slacks.append(({"level": k, "p": p, "q": q}, 1.0 - zeta ** (gamma * q) * nq**q))
+    return Outcome({"hd_scalar": min(v for _, v in slacks)} if slacks else {},
+                   [("hd_scalar", where, v) for where, v in slacks if v < -HARD_SLACK])
+
+
+def _atom_trial(run, pq, rng):
+    tower = run.tower
+    p, q = pq
+    n = int(rng.integers(1, tower.n_levels))
+    deep = int(rng.integers(n + 1, tower.n_levels + 1))
+    atoms = tower.dim // tower._block_size(n)  # minimal diagonal projections of level n
+    rank = int(rng.integers(1, atoms + 1))
+    diag = np.zeros(atoms)
+    diag[rng.choice(atoms, size=rank, replace=False)] = 1.0
+    e = np.diag(np.repeat(diag, tower.dim // atoms).astype(complex))
+    a = mg.make_atom(tower, rng, n, e, deep, p)
+    c = mg.atom_constant(tower, a, n, e, p, q, run.coeffs)
+    bad = [] if math.isfinite(c) else [("atom_constant_finite", {"p": p, "q": q}, c)]
+    return Outcome({}, bad, {"p": p, "q": q, "level": n, "deep": deep, "rank": rank,
+                             "trace_e": tower.trace(e).real, "constant": c})
+
+
+def _atom_summary(run, report, values):
+    out = {}
+    for gi, pq in enumerate(run.points["pq_pairs"]):
+        arr = np.asarray([r["constant"] for r in report.trials if r["grid"] == gi])
+        out[f"grid_{gi}"] = {"point": list(pq), "max": float(arr.max()),
+                             "mean": float(arr.mean()), "n_used": int(arr.size)}
+    return out
 
 
 def _example(cfg, threads=1):
+    """The extremal-family identities, checked on both realizations."""
     report = Report(cfg.experiment, cfg.to_json())
-    tol = 1e-9
-    agree_tol = 1e-10
     rows = []
     for n in range(1, cfg.extremal_n_max + 1):
-        row = {"n": n}
-        per_kind = {}
-        for kind in ("classical", "noncommutative"):
-            tower, mart, coeffs = extremal_example(n, kind)
-            f = mart.final
-            s = singular_value_function(tower, f)
-            vals = {"l1": lp_norm(s, 1.0)}
-            for eps in (0.25, 0.5):
-                vals[f"lr_eps{eps:g}"] = lp_norm(s, (4.0 - eps) / 3.0)
-            centered = centered_martingale(mart)
-            half = fractional_integral(centered, 0.5, coeffs).final
-            quarter = fractional_integral(centered, 0.25, coeffs).final
-            vals["half_l2"] = lp_norm(singular_value_function(tower, half), 2.0)
-            vals["quarter_l2_sq"] = lp_norm(singular_value_function(tower, quarter), 2.0) ** 2
-            per_kind[kind] = vals
         expected = {"l1": 1.0, "half_l2": math.sqrt(n / 2.0),
-                    "quarter_l2_sq": (2.0 ** (n / 2.0) - 1.0) / (2.0 - math.sqrt(2.0))}
-        for eps in (0.25, 0.5):
-            expected[f"lr_eps{eps:g}"] = 2.0 ** (((1.0 - eps) / (4.0 - eps)) * n)
+                    "quarter_l2_sq": (2.0 ** (n / 2.0) - 1.0) / (2.0 - math.sqrt(2.0)),
+                    **{f"lr_eps{eps:g}": 2.0 ** (((1.0 - eps) / (4.0 - eps)) * n)
+                       for eps in (0.25, 0.5)}}
+        got = {kind: _example_norms(*extremal_example(n, kind))
+               for kind in ("classical", "noncommutative")}
         for key, want in expected.items():
-            for kind, vals in per_kind.items():
-                if abs(vals[key] - want) > tol:
-                    report.failures.append(
-                        {"check": f"example_{key}", "grid": {"n": n, "kind": kind},
-                         "trial": 0, "seed": [cfg.seed], "detail": vals[key] - want}
-                    )
-            if abs(per_kind["classical"][key] - per_kind["noncommutative"][key]) > agree_tol:
-                report.failures.append(
-                    {"check": f"example_agreement_{key}", "grid": {"n": n}, "trial": 0,
-                     "seed": [cfg.seed],
-                     "detail": per_kind["classical"][key] - per_kind["noncommutative"][key]}
-                )
-        row.update({k: per_kind["classical"][k] for k in expected})
-        row.update({f"expected_{k}": v for k, v in expected.items()})
-        rows.append(row)
+            checks = [(f"example_{key}", {"n": n, "kind": kind}, vals[key] - want, 1e-9)
+                      for kind, vals in got.items()]
+            gap = got["classical"][key] - got["noncommutative"][key]
+            checks.append((f"example_agreement_{key}", {"n": n}, gap, 1e-10))
+            report.failures += [_failure(check, where, 0, [cfg.seed], detail)
+                                for check, where, detail, tol in checks if abs(detail) > tol]
+        rows.append({"n": n, **{k: got["classical"][k] for k in expected},
+                     **{f"expected_{k}": v for k, v in expected.items()}})
     report.summary["family"] = rows
     return report
 
 
-def _atom_map(cfg, threads=1):
-    tower = build_tower(cfg.tower)
-    coeffs = _resolve_coeffs(tower, cfg.coeffs)
-    pqs = cfg.pq_pairs or ((0.5, 1.0), (2.0 / 3.0, 1.0), (0.5, 4.0 / 3.0))
-    _require(all(0 < p < 1 and p < q < 2 for p, q in pqs), "atom-map needs 0<p<1, p<q<2")
-    report = Report(cfg.experiment, cfg.to_json())
-    if tower.n_levels < 2:
-        raise ConfigError("atom-map needs a tower with at least two levels")
-    for gi, (p, q) in enumerate(pqs):
-        consts = []
-        for ti in range(cfg.trials):
-            rng = trial_rng(cfg.seed, gi, ti)
-            n = int(rng.integers(1, tower.n_levels))
-            deep = int(rng.integers(n + 1, tower.n_levels + 1))
-            max_rank = tower._sub_dims[n] if tower.spec.kind == "tensor" else 1 << n
-            rank = int(rng.integers(1, max_rank + 1))
-            e = _diagonal_level_projection(tower, n, rank, rng)
-            a = mg.make_atom(tower, rng, n, e, deep, p)
-            c = mg.atom_constant(tower, a, n, e, p, q, coeffs)
-            rec = {"grid": gi, "trial": ti, "p": p, "q": q, "level": n, "deep": deep,
-                   "rank": rank, "trace_e": tower.trace(e).real, "constant": c}
-            report.trials.append(rec)
-            consts.append(c)
-            if not math.isfinite(c):
-                report.failures.append(
-                    {"check": "atom_constant_finite", "grid": {"p": p, "q": q},
-                     "trial": ti, "seed": [cfg.seed, gi, ti], "detail": c}
-                )
-        arr = np.asarray(consts)
-        report.summary[f"grid_{gi}"] = {
-            "point": [p, q], "max": float(arr.max()), "mean": float(arr.mean()),
-            "n_used": int(arr.size),
-        }
-    return report
+def _example_norms(tower, mart, coeffs):
+    s = singular_value_function(tower, mart.final)
+    centered = centered_martingale(mart)
+    half_l2, l1 = _lp_lq_ratio((1.0, 2.0), mart, centered, coeffs)
+    quarter = fractional_integral(centered, 0.25, coeffs).final
+    return {"l1": l1, "half_l2": half_l2,
+            "quarter_l2_sq": lp_norm(singular_value_function(tower, quarter), 2.0) ** 2,
+            **{f"lr_eps{eps:g}": lp_norm(s, (4.0 - eps) / 3.0) for eps in (0.25, 0.5)}}
 
 
-def _diagonal_level_projection(tower, n, rank, rng):
-    """Random diagonal projection of the given rank inside level ``n``."""
-    if tower.spec.kind == "tensor":
-        sub = tower._sub_dims[n]
-        rest = tower.dim // sub
-        sel = rng.choice(sub, size=rank, replace=False)
-        diag = np.zeros(sub)
-        diag[sel] = 1.0
-        return np.diag(np.repeat(diag, rest).astype(complex))
-    block = tower._block_size(n)
-    atoms = tower.dim // block
-    sel = rng.choice(atoms, size=rank, replace=False)
-    diag = np.zeros(atoms)
-    diag[sel] = 1.0
-    return np.diag(np.repeat(diag, block).astype(complex))
+def _alpha_ratio(name, ratio, profile="gaussian", extremal=None):
+    """A ratio experiment over alphas; its extremal row is its ratio at 1/2."""
+    grid = Grid("alphas", (0.25, 0.5, 0.75), lambda a, tower: 0 < a < 1,
+                f"{name} needs alphas in (0,1)")
+    return Experiment((grid,), ratio, profile, extremal or (lambda run: (ratio, 0.5)))
+
+
+LEVELS = Grid("levels", lambda tower: tuple(range(1, tower.n_levels + 1)),
+              lambda k, tower: 1 <= k <= tower.n_levels, "levels must lie in 1..n_levels")
 
 
 EXPERIMENTS = {
-    "weak-type": _weak_type,
-    "lp-lq": _lp_lq,
-    "hardy-column": _hardy_column,
-    "l1a-to-bmo": _l1a_to_bmo,
-    "lorentz-uniform": _lorentz_uniform,
-    "h1-to-bmo": _h1_to_bmo,
-    "embedding-lemmas": _embedding_lemmas,
-    "singular-value-lemma": _singular_value_lemma,
-    "hd-scalar": _hd_scalar,
+    "weak-type": _alpha_ratio(
+        "weak-type", _weak_ratio, "config",
+        lambda run: {"weak_ratio": (_weak_ratio, 0.5),
+                     "strong_l2_over_l1": (_lp_lq_ratio, (1.0, 2.0))}),
+    "lp-lq": Experiment(
+        (Grid("pq_pairs", ((4.0 / 3.0, 4.0), (2.0, 4.0), (1.5, 3.0)),
+              lambda pq, tower: 1 < pq[0] < pq[1], "lp-lq needs 1 < p < q"),),
+        _lp_lq_ratio, "gaussian",
+        lambda run: {f"p{p:g}_q{q:g}": (_lp_lq_ratio, (p, q))
+                     for p, q in run.points["pq_pairs"]}),
+    "hardy-column": _alpha_ratio("hardy-column", _hardy_ratio),
+    "l1a-to-bmo": _alpha_ratio("l1a-to-bmo", _bmo_ratio),
+    "lorentz-uniform": _alpha_ratio("lorentz-uniform", _lorentz_ratio),
+    "h1-to-bmo": Experiment(
+        (), _h1_ratio, "gaussian",
+        companions=((COLUMN_STREAM, lambda trials: min(trials, 100), _h1_column_ratio),),
+        summary=lambda run, report, values: {
+            "column_variant": _summary_stats(values.get(COLUMN_STREAM, ()))}),
+    "embedding-lemmas": Experiment(
+        (LEVELS,
+         Grid("alphas", tuple(a / 10.0 for a in range(1, 10)), lambda a, tower: 0 < a < 1,
+              "embedding-lemmas needs alphas in (0,1)")),
+        _embedding_trial, companions=((PAIR_STREAM, lambda trials: trials, _pair_trial),),
+        summary=_embedding_summary),
+    "singular-value-lemma": Experiment(
+        (Grid("alphas", (0.1, 0.2, 0.3, 0.4), lambda a, tower: 0 < a < 0.5,
+              "singular-value lemma needs alphas in (0, 1/2)"),),
+        _singular_value_trial,
+        summary=lambda run, report, values: {
+            "worst_slacks": {name: min(v) for name, v in values.items()}}),
+    "hd-scalar": Experiment(
+        (LEVELS,
+         Grid("pq_pairs", ((0.5, 1.0), (0.5, 0.75), (0.75, 1.0)),
+              lambda pq, tower: 0 < pq[0] < pq[1] <= 1, "hd-scalar needs 0 < p < q <= 1")),
+        _hd_scalar_trial,
+        summary=lambda run, report, values: {
+            "worst_slack": min(values.get("hd_scalar", ()), default=math.inf)}),
     "example": _example,
-    "atom-map": _atom_map,
+    "atom-map": Experiment(
+        (Grid("pq_pairs", ((0.5, 1.0), (2.0 / 3.0, 1.0), (0.5, 4.0 / 3.0)),
+              lambda pq, tower: (0 < pq[0] < 1 and pq[0] < pq[1] < 2 and tower.n_levels >= 2
+                                 and tower.spec.kind != "custom"),
+              "atom-map needs 0<p<1, p<q<2 and a tensor or abelian tower of two or more levels"),),
+        _atom_trial, summary=_atom_summary),
 }
 
 
 def run_ratio_experiment(cfg: ExperimentConfig, threads=1) -> Report:
     """Run one named experiment; failures are collected, not raised."""
-    try:
-        fn = EXPERIMENTS[cfg.experiment]
-    except KeyError:
+    if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(
-            f"unknown experiment {cfg.experiment!r}; choose from {sorted(EXPERIMENTS)}"
-        ) from None
+            f"unknown experiment {cfg.experiment!r}; choose from {sorted(EXPERIMENTS)}")
     start = time.perf_counter()
-    report = fn(cfg, threads=threads)
+    report = EXPERIMENTS[cfg.experiment](cfg, threads=threads)
     report.wall_time = time.perf_counter() - start
     return report

@@ -21,6 +21,11 @@ from ncmart.harness import (
 )
 
 TOWER = FiltrationSpec.tensor([2, 2, 2]).to_json()
+EXPERIMENT_NAMES = [
+    "weak-type", "lp-lq", "hardy-column", "l1a-to-bmo", "lorentz-uniform",
+    "h1-to-bmo", "embedding-lemmas", "singular-value-lemma", "hd-scalar",
+    "example", "atom-map",
+]
 
 
 def _cfg(experiment, **kw):
@@ -62,13 +67,21 @@ def test_unknown_experiment():
         run_ratio_experiment(_cfg("nonsense"))
 
 
-def test_bad_grid_rejected():
+def test_bad_grid_rejected(custom4):
     with pytest.raises(ConfigError):
         run_ratio_experiment(_cfg("weak-type", alphas=[1.5]))
     with pytest.raises(ConfigError):
         run_ratio_experiment(_cfg("lp-lq", pq_pairs=[[4, 2]]))
     with pytest.raises(ConfigError):
         run_ratio_experiment(_cfg("hd-scalar", pq_pairs=[[0.5, 2.0]]))
+    # levels outside 1..n_levels of the three-level tower
+    with pytest.raises(ConfigError):
+        run_ratio_experiment(_cfg("hd-scalar", levels=[4]))
+    with pytest.raises(ConfigError):
+        run_ratio_experiment(_cfg("embedding-lemmas", levels=[0]))
+    # atoms are drawn from diagonal level projections, which custom towers lack
+    with pytest.raises(ConfigError):
+        run_ratio_experiment(_cfg("atom-map", tower=custom4.spec.to_json()))
 
 
 def test_report_roundtrip(tmp_path):
@@ -191,11 +204,7 @@ def test_extremal_example_weak_witness():
 # experiments
 
 
-@pytest.mark.parametrize("name", [
-    "weak-type", "lp-lq", "hardy-column", "l1a-to-bmo", "lorentz-uniform",
-    "h1-to-bmo", "embedding-lemmas", "singular-value-lemma", "hd-scalar",
-    "example", "atom-map",
-])
+@pytest.mark.parametrize("name", EXPERIMENT_NAMES)
 def test_experiment_smoke(name):
     r = run_ratio_experiment(_cfg(name, extremal_n_max=3))
     assert r.passed, r.failures[:3]
@@ -215,12 +224,29 @@ def test_experiments_on_abelian_tower():
         assert r.passed, (name, r.failures[:3])
 
 
-def test_determinism_serial_vs_threads():
-    cfg = _cfg("lp-lq", trials=16, extremal_n_max=2)
+@pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+def test_determinism_serial_vs_threads(name):
+    cfg = _cfg(name, tower=FiltrationSpec.tensor([2, 2]).to_json(), trials=16, extremal_n_max=2)
     a = run_ratio_experiment(cfg).to_json()
-    b = run_ratio_experiment(cfg, threads=4).to_json()
+    b = run_ratio_experiment(cfg, threads=3).to_json()
     a.pop("wall_time"), b.pop("wall_time")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_embedding_worst_slacks_include_failures():
+    """Coefficients of 1 overstate every subspace constant, so the embedding
+    checks fail; each check's worst slack is still its most negative trial,
+    and each failing check is recorded once per trial."""
+    r = run_ratio_experiment(_cfg("embedding-lemmas", trials=6, coeffs=[1, 1, 1]))
+    by_check = {}
+    for f in r.failures:
+        by_check.setdefault(f["check"], []).append(f)
+    assert {"basic_i", "basic_ii", "embed_inf2"} <= set(by_check)
+    for name, fails in by_check.items():
+        assert r.summary["worst_slacks"][name] == min(f["detail"] for f in fails)
+    for name in ("basic_i", "basic_ii", "embed_inf2", "embed_21"):
+        cases = [(f["grid"]["level"], f["trial"]) for f in by_check.get(name, ())]
+        assert len(set(cases)) == len(cases)
 
 
 def test_ratio_records_have_repro_seeds():
