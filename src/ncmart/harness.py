@@ -256,14 +256,19 @@ def extremal_example(n, kind="classical"):
 
 
 def _resolve_coeffs(tower, coeffs_cfg) -> CoefficientSequence:
+    """The coefficient sequence of a run: one coefficient per tower level."""
     if isinstance(coeffs_cfg, CoefficientSequence):
-        return coeffs_cfg
-    if coeffs_cfg in ("auto", "optimize"):
-        return zeta_sequence(tower, coeffs_cfg)
-    try:
-        return CoefficientSequence(tuple(float(v) for v in coeffs_cfg), "user")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad coefficient source {coeffs_cfg!r}: {exc}") from exc
+        coeffs = coeffs_cfg
+    elif coeffs_cfg in ("auto", "optimize"):
+        coeffs = zeta_sequence(tower, coeffs_cfg)
+    else:
+        try:
+            coeffs = CoefficientSequence(tuple(float(v) for v in coeffs_cfg), "user")
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad coefficient source {coeffs_cfg!r}: {exc}") from exc
+    if len(coeffs) < tower.n_levels:
+        raise ConfigError(f"{len(coeffs)} coefficients for a tower of {tower.n_levels} levels")
+    return coeffs
 
 
 def _summary_stats(ratios):

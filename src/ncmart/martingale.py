@@ -8,7 +8,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Tower, TowerError
-from .spectral import lp_norm, operator_norm, singular_value_function
+from .spectral import (
+    SingularValueFunction,
+    _root_spectrum,
+    lp_norm,
+    operator_norm,
+    singular_value_function,
+)
 
 __all__ = [
     "MartingaleSequence",
@@ -155,6 +161,25 @@ def _split_candidates(tower, k, dx):
     return cands
 
 
+def _gram_pair(a, b):
+    """Column Gram ``a^* a`` and row Gram ``b b^*`` of one split ``dx = a + b``."""
+    return _abs_squared(a), _abs_squared(_adjoint(b))
+
+
+def _gram_lp_norm(tower, g, p):
+    """``||g^{1/2}||_p`` of a positive Gram sum from one eigendecomposition.
+
+    ``g^{1/2}`` and ``g`` share eigenvectors, so the eigenvalues of the
+    Hermitian part of ``g`` give the singular values of ``g^{1/2}`` and
+    their trace weights at once.
+    """
+    if g.ndim == 1:
+        vals, weights = np.sqrt(np.clip(g.real, 0.0, None)), tower.weights
+    else:
+        vals, weights = _root_spectrum(tower, (g + g.conj().T) / 2, g)
+    return lp_norm(SingularValueFunction.from_spectrum(vals, weights), p)
+
+
 def hardy_mixed_upper(m: MartingaleSequence, p, refine=True):
     """Certified upper bound on the mixed Hardy norm for ``0 < p < 2``.
 
@@ -163,25 +188,34 @@ def hardy_mixed_upper(m: MartingaleSequence, p, refine=True):
     polar-support splits, each projected back onto ``D_k``), optionally
     refined by coordinate-wise interpolation.  Returns the bound and the
     achieving decomposition.
+
+    The Grams ``a_k^* a_k`` and ``b_k b_k^*`` of every candidate are formed
+    once per call (only the interpolation step forms its own).  An
+    evaluation sums the chosen Grams level by level and takes each side's
+    norm from one eigendecomposition of the sum, so it agrees with
+    ``hardy_column_norm(y, p) + hardy_row_norm(z, p)`` up to rounding.
     """
     if not 0 < p < 2:
         raise ValueError("hardy_mixed_upper requires 0 < p < 2")
     tower = m.tower
     per_k = [_split_candidates(tower, k + 1, dx) for k, dx in enumerate(m.differences)]
+    grams = [[_gram_pair(a, b) for a, b in cands] for cands in per_k]
 
-    def objective(choice):
-        ys = tuple(per_k[k][i][0] if isinstance(i, int) else i[0] for k, i in enumerate(choice))
-        zs = tuple(per_k[k][i][1] if isinstance(i, int) else i[1] for k, i in enumerate(choice))
-        my = MartingaleSequence(tower, ys)
-        mz = MartingaleSequence(tower, zs)
-        return hardy_column_norm(my, p) + hardy_row_norm(mz, p)
+    def objective(pairs):
+        col, row = pairs[0]
+        for c, r in pairs[1:]:
+            col, row = col + c, row + r
+        return _gram_lp_norm(tower, col, p) + _gram_lp_norm(tower, row, p)
+
+    def chosen(choice):
+        return [grams[k][i] for k, i in enumerate(choice)]
 
     n = len(m)
     best_choice = [0] * n
-    best = objective(best_choice)
+    best = objective(chosen(best_choice))
     for i in range(1, len(per_k[0])):
         uniform = [min(i, len(per_k[k]) - 1) for k in range(n)]
-        val = objective(uniform)
+        val = objective(chosen(uniform))
         if val < best:
             best, best_choice = val, uniform
     if refine and n > 1:
@@ -193,28 +227,27 @@ def hardy_mixed_upper(m: MartingaleSequence, p, refine=True):
                         continue
                     trial = list(best_choice)
                     trial[k] = i
-                    val = objective(trial)
+                    val = objective(chosen(trial))
                     if val < best - 1e-15:
                         best, best_choice, improved = val, trial, True
             if not improved:
                 break
+    decomposition = [per_k[k][i] for k, i in enumerate(best_choice)]
     if refine:
         # convex interpolation between the chosen split and the pure splits
-        current = [per_k[k][best_choice[k]] for k in range(n)]
+        current = chosen(best_choice)
         for k in range(n):
-            a0, b0 = current[k]
+            a0, b0 = decomposition[k]
             for alt in (per_k[k][0], per_k[k][1]):
                 for t in (0.25, 0.5, 0.75):
                     a = (1 - t) * a0 + t * alt[0]
                     b = (1 - t) * b0 + t * alt[1]
                     trial = list(current)
-                    trial[k] = (a, b)
+                    trial[k] = _gram_pair(a, b)
                     val = objective(trial)
                     if val < best - 1e-15:
                         best, current = val, trial
-        decomposition = current
-    else:
-        decomposition = [per_k[k][best_choice[k]] for k in range(n)]
+                        decomposition[k] = (a, b)
     return best, decomposition
 
 

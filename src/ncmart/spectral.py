@@ -159,19 +159,29 @@ def _piece_sums(weights, starts, ends):
     return sums
 
 
-def _absolute_value_spectrum(tower, x):
-    """Eigenvalues of ``|x|`` with their trace weights."""
-    x = np.asarray(x, dtype=complex)
-    if x.ndim == 1:
-        return np.abs(x), tower.weights.copy()
+def _root_spectrum(tower, h, x):
+    """Eigenvalues of ``h^{1/2}`` with their trace weights, for ``h >= 0``.
+
+    ``h`` is Hermitian and formed from the operator ``x``; an eigensolver
+    failure raises ``ArithmeticError`` naming ``x`` by digest, so it counts
+    as a numerical failure, not as bad input.
+    """
     try:
-        eigvals, vecs = np.linalg.eigh(x.conj().T @ x)
+        eigvals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         digest = hashlib.sha256(np.ascontiguousarray(x)).hexdigest()[:16]
         raise ArithmeticError(f"eigensolver failed on operator sha256:{digest}") from exc
     vals = np.sqrt(np.clip(eigvals, 0.0, None))
     weights = np.einsum("pi,p,pi->i", vecs.conj(), tower.weights, vecs).real
     return vals, np.clip(weights, 0.0, None)
+
+
+def _absolute_value_spectrum(tower, x):
+    """Eigenvalues of ``|x|`` with their trace weights."""
+    x = np.asarray(x, dtype=complex)
+    if x.ndim == 1:
+        return np.abs(x), tower.weights.copy()
+    return _root_spectrum(tower, x.conj().T @ x, x)
 
 
 def singular_value_function(tower, x) -> SingularValueFunction:

@@ -207,3 +207,18 @@ def test_no_vacuous_runs(capsys, argv):
     """A run that would check nothing is a usage error, not a pass."""
     assert main(argv) == 2
     assert "must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["hd-scalar", "embedding-lemmas"])
+def test_verify_rejects_short_coefficients(tmp_path, capsys, experiment):
+    """Fewer coefficients than tower levels is a usage error, not a crash."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "experiment": experiment,
+        "tower": {"kind": "tensor", "dims": [2, 2, 2]},
+        "coeffs": [1, 1],
+    }))
+    code = main(["verify", "--experiment", experiment, "--config", str(cfg),
+                 "--seed", "1", "--trials", "1"])
+    assert code == 2
+    assert "2 coefficients for a tower of 3 levels" in capsys.readouterr().err

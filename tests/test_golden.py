@@ -8,7 +8,7 @@ experiment runner cannot change a report unnoticed.
 
 The ``h1-to-bmo|abelian:3`` entry pins the known ``hardy_mixed_upper``
 defect on abelian towers (a diagonal difference split against a dense
-candidate; ROADMAP item 6).  Regenerate the file when that is fixed:
+candidate; ROADMAP item 1).  Regenerate the file when that is fixed:
 
     PYTHONPATH=src python tests/test_golden.py
 """

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 import ncmart.martingale as mg
 from ncmart.algebra import FiltrationSpec, TowerError, build_tower
 from ncmart.fractional import zeta_sequence
-from ncmart.harness import random_martingale, trial_rng
+from ncmart.harness import ExperimentConfig, random_martingale, run_ratio_experiment, trial_rng
 from ncmart.spectral import lp_norm, operator_norm, singular_value_function
 
 
@@ -135,6 +136,57 @@ def test_hardy_mixed_upper_brackets(tensor222, rng):
         assert achieved == pytest.approx(bound, rel=1e-9)
     with pytest.raises(ValueError):
         mg.hardy_mixed_upper(m, 2.0)
+
+
+@pytest.mark.parametrize("tower_name", ["tensor222", "custom4"])
+def test_mixed_upper_bound_matches_public_norms(request, tower_name):
+    """The cached-Gram objective agrees with the public column and row norms."""
+    tower = request.getfixturevalue(tower_name)
+    for seed in range(6):
+        m = random_martingale(tower, "gaussian", trial_rng(seed, 0, 0))
+        for p in (0.5, 1.0, 1.5):
+            bound, decomp = mg.hardy_mixed_upper(m, p)
+            ys = mg.MartingaleSequence(tower, tuple(a for a, _ in decomp))
+            zs = mg.MartingaleSequence(tower, tuple(b for _, b in decomp))
+            achieved = mg.hardy_column_norm(ys, p) + mg.hardy_row_norm(zs, p)
+            assert bound == pytest.approx(achieved, rel=1e-12, abs=0.0)
+
+
+def _counting_eigh(monkeypatch, fail_below=None):
+    """Count ``np.linalg.eigh`` calls; raise ``LinAlgError`` inside ``fail_below``."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def wrapper(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        frame = sys._getframe(1)
+        while fail_below is not None and frame is not None:
+            if frame.f_code.co_name == fail_below:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            frame = frame.f_back
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", wrapper)
+    return calls
+
+
+def test_mixed_upper_factorizes_each_side_once(tensor222, monkeypatch):
+    """Two eigh calls per level for the splits, then one per side per candidate."""
+    m = random_martingale(tensor222, "gaussian", trial_rng(3, 0, 0))
+    calls = _counting_eigh(monkeypatch)
+    mg.hardy_mixed_upper(m, 1.0, refine=False)
+    n, uniform_candidates = len(m), 5
+    assert len(calls) == 2 * n + 2 * uniform_candidates == 16
+
+
+def test_mixed_upper_eigensolver_failure_is_numerical(tensor222, monkeypatch):
+    m = random_martingale(tensor222, "gaussian", trial_rng(3, 0, 0))
+    _counting_eigh(monkeypatch, fail_below="_gram_lp_norm")
+    with pytest.raises(ArithmeticError, match="eigensolver failed on operator sha256:"):
+        mg.hardy_mixed_upper(m, 1.0)
+    cfg = ExperimentConfig("h1-to-bmo", FiltrationSpec.tensor([2, 2]), trials=2, seed=5)
+    report = run_ratio_experiment(cfg)
+    assert [f["check"] for f in report.failures] == ["trial_error", "trial_error"]
 
 
 @pytest.mark.xfail(strict=True, reason="on a diagonal dx, _split_candidates forms dx - a "
