@@ -13,8 +13,8 @@ large tensor towers, where a dense representation is impractical).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import reduce
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,13 +59,16 @@ class FiltrationSpec:
     weights: tuple = ()
 
     def __post_init__(self):
+        # Equal specs share one tower (build_tower), so keep one form of each.
         if self.kind == "tensor":
+            object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
             if not self.dims:
                 raise TowerError("tensor spec needs at least one factor")
-            if any(int(n) < 2 for n in self.dims):
+            if any(n < 2 for n in self.dims):
                 raise TowerError("tensor factor dimensions must be >= 2")
         elif self.kind == "abelian_dyadic":
-            if int(self.levels) < 1:
+            object.__setattr__(self, "levels", int(self.levels))
+            if self.levels < 1:
                 raise TowerError("abelian_dyadic needs levels >= 1")
         elif self.kind == "custom":
             if not self.spanning_sets:
@@ -75,11 +78,11 @@ class FiltrationSpec:
 
     @staticmethod
     def tensor(dims) -> "FiltrationSpec":
-        return FiltrationSpec(kind="tensor", dims=tuple(int(n) for n in dims))
+        return FiltrationSpec(kind="tensor", dims=tuple(dims))
 
     @staticmethod
     def abelian_dyadic(levels: int) -> "FiltrationSpec":
-        return FiltrationSpec(kind="abelian_dyadic", levels=int(levels))
+        return FiltrationSpec(kind="abelian_dyadic", levels=levels)
 
     @staticmethod
     def custom(spanning_sets, weights=None) -> "FiltrationSpec":
@@ -305,9 +308,6 @@ class Tower:
     def norm2(self, x):
         return math.sqrt(max(self.inner(x, x).real, 0.0))
 
-    def identity(self):
-        return np.eye(self.dim, dtype=complex)
-
     def level_dim(self, k):
         self._check_level(k, lo=0)
         if k == 0:
@@ -341,19 +341,12 @@ class Tower:
         coeffs = (flat @ (x * self.weights[None, :]).conj().ravel()).conj()
         return (coeffs @ flat).reshape(x.shape)
 
-    def martingale_difference(self, k, x):
-        """Difference operator ``E_k - E_{k-1}`` applied to ``x``."""
-        self._check_level(k)
-        return self.conditional_expectation(k, x) - self.conditional_expectation(k - 1, x)
-
     def _block_size(self, n):
         if self.spec.kind == "tensor":
             return self.dim // self._sub_dims[n]
         return 1 << (self.n_levels - n)
 
     def _diag_expectation(self, n, x):
-        if self.spec.kind == "custom":
-            return np.diagonal(self.conditional_expectation(n, np.diag(x))).copy()
         block = self._block_size(n)
         means = x.reshape(-1, block).mean(axis=1)
         return np.repeat(means, block)
@@ -436,19 +429,17 @@ class Tower:
         return np.stack(basis)
 
     def project_difference(self, k, x):
-        """Trace-orthogonal projection of ``x`` onto ``D_k``."""
-        return self.martingale_difference(k, self._check(x))
+        """Trace-orthogonal projection of ``x`` onto ``D_k``: ``(E_k - E_{k-1}) x``."""
+        x = self._check(x)
+        self._check_level(k)
+        return self.conditional_expectation(k, x) - self.conditional_expectation(k - 1, x)
 
     # -- misc ---------------------------------------------------------------
 
-    def random_element(self, rng, level=None, difference=None, diagonal=False):
+    def random_element(self, rng, level=None, difference=None):
         """Standard complex-Gaussian element, optionally projected."""
-        if diagonal or (self.spec.kind == "abelian_dyadic"):
+        if self.spec.kind == "abelian_dyadic":
             g = rng.standard_normal(self.dim) + 0j
-            if self.spec.kind == "abelian_dyadic":
-                pass
-            else:
-                g = np.diag(g)
         else:
             g = rng.standard_normal((self.dim, self.dim)) + 1j * rng.standard_normal(
                 (self.dim, self.dim)
@@ -463,10 +454,14 @@ class Tower:
         return np.diag(x) if x.ndim == 1 else x
 
     def _check(self, x):
+        """``x`` as a complex array; a diagonal ``x`` on a custom tower becomes
+        dense, since the diagonal of its expectation need not lie in the level."""
         x = np.asarray(x, dtype=complex)
         if x.ndim == 1:
             if x.shape != (self.dim,):
                 raise TowerError(f"diagonal operator has dim {x.shape[0]}, tower dim {self.dim}")
+            if self.spec.kind == "custom":
+                return np.diag(x)
         elif x.shape != (self.dim, self.dim):
             raise TowerError(f"operator shape {x.shape} does not match tower dim {self.dim}")
         return x
@@ -476,6 +471,18 @@ class Tower:
             raise TowerError(f"level {k} out of range [{lo}, {self.n_levels}]")
 
 
-def build_tower(spec: FiltrationSpec) -> Tower:
-    """Build the tower described by ``spec``; validates custom inputs."""
+# Tensor and abelian specs are hashable, so equal specs share one tower and
+# its cached bases; 32 covers a run's tower plus the 24 towers of the
+# extremal family at its default depth of 12.
+@lru_cache(maxsize=32)
+def _shared_tower(spec):
     return Tower(spec)
+
+
+def build_tower(spec: FiltrationSpec) -> Tower:
+    """The tower described by ``spec``.
+
+    Tensor and abelian towers are shared: equal specs give the same object.
+    A custom spec holds arrays, so it is built and validated on every call.
+    """
+    return Tower(spec) if spec.kind == "custom" else _shared_tower(spec)

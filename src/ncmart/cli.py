@@ -20,13 +20,12 @@ import numpy as np
 
 from . import martingale as mg
 from .algebra import FiltrationSpec, TowerError, build_tower, operator_from_json
-from .fractional import zeta_optimize, zeta_sequence, _closed_form
+from .fractional import zeta_sequence, _closed_form
 from .harness import (
     EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
-    Report,
-    centered_martingale,
+    _example_norms,
     emit_report,
     extremal_example,
     run_ratio_experiment,
@@ -116,19 +115,9 @@ def _cmd_example(args) -> int:
         raise ConfigError(f"--levels must be at least 1, got {args.levels}")
     rows = []
     for n in range(1, args.levels + 1):
-        tower, mart, coeffs = extremal_example(n, args.kind)
-        from .fractional import fractional_integral
-
-        s = singular_value_function(tower, mart.final)
-        half = fractional_integral(centered_martingale(mart), 0.5, coeffs).final
-        rows.append(
-            {
-                "n": n,
-                "l1_norm": lp_norm(s, 1.0),
-                "half_order_l2": lp_norm(singular_value_function(tower, half), 2.0),
-                "expected_half_order_l2": math.sqrt(n / 2.0),
-            }
-        )
+        norms = _example_norms(*extremal_example(n, args.kind))
+        rows.append({"n": n, "l1_norm": norms["l1"], "half_order_l2": norms["half_l2"],
+                     "expected_half_order_l2": math.sqrt(n / 2.0)})
     payload = {"kind": args.kind, "family": rows}
     _write_or_print(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     bad = any(abs(r["half_order_l2"] - r["expected_half_order_l2"]) > 1e-9 for r in rows)

@@ -10,7 +10,7 @@ difference by that constant raised to the order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

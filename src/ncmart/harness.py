@@ -17,7 +17,6 @@ import time
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
 
 import numpy as np
 
@@ -221,13 +220,6 @@ def centered_martingale(mart: mg.MartingaleSequence) -> mg.MartingaleSequence:
 DENSE_EXTREMAL_LIMIT = 64
 
 
-@lru_cache(maxsize=32)
-def _cached_tower(kind, n):
-    if kind == "classical":
-        return build_tower(FiltrationSpec.abelian_dyadic(n))
-    return build_tower(FiltrationSpec.tensor((2,) * n))
-
-
 def extremal_example(n, kind="classical"):
     """The scaled-indicator extremal family on a dyadic tower of depth n.
 
@@ -239,8 +231,10 @@ def extremal_example(n, kind="classical"):
         raise ConfigError("extremal example needs n >= 1")
     if kind not in ("classical", "noncommutative"):
         raise ConfigError(f"unknown extremal kind {kind!r}")
-    tower = _cached_tower(kind, n)
-    if kind == "classical" or tower.dim > DENSE_EXTREMAL_LIMIT:
+    classical = kind == "classical"
+    tower = build_tower(FiltrationSpec.abelian_dyadic(n) if classical
+                        else FiltrationSpec.tensor((2,) * n))
+    if classical or tower.dim > DENSE_EXTREMAL_LIMIT:
         f = np.zeros(tower.dim, dtype=complex)
         f[0] = 2.0**n
     else:
@@ -248,7 +242,6 @@ def extremal_example(n, kind="classical"):
         f[0, 0] = 2.0**n
     coeffs = CoefficientSequence(tuple(2.0**-k for k in range(1, n + 1)), "user")
     return tower, mg.adapt(tower, f), coeffs
-
 
 
 # ---------------------------------------------------------------------------

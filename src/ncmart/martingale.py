@@ -10,6 +10,7 @@ import numpy as np
 from .algebra import Tower, TowerError
 from .spectral import (
     SingularValueFunction,
+    _eigh,
     _root_spectrum,
     lp_norm,
     operator_norm,
@@ -51,7 +52,7 @@ def _abs_squared(x):
 def _sqrt_psd(m):
     if m.ndim == 1:
         return np.sqrt(np.clip(m.real, 0.0, None)) + 0j
-    vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
+    vals, vecs = _eigh((m + m.conj().T) / 2, m)
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
 
 
@@ -153,7 +154,7 @@ def _split_candidates(tower, k, dx):
         a = tower.project_difference(k, part)
         cands.append((a, dx - a))
     s = _sqrt_psd(_abs_squared(dense))
-    vals, vecs = np.linalg.eigh(s)
+    vals, vecs = _eigh(s, dense)
     top = vals >= (vals[0] + vals[-1]) / 2
     e_top = (vecs[:, top]) @ (vecs[:, top].conj().T)
     a = tower.project_difference(k, dense @ e_top)
@@ -287,7 +288,7 @@ def _cluster_prefix_projections(h, tol=1e-10):
     Eigenvalue clusters are kept whole so each projection stays inside any
     *-subalgebra containing ``h``.
     """
-    vals, vecs = np.linalg.eigh(h)
+    vals, vecs = _eigh(h, h)
     vals, vecs = vals[::-1], vecs[:, ::-1]
     cuts = [0]
     for i in range(1, vals.size):

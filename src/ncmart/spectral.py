@@ -159,18 +159,23 @@ def _piece_sums(weights, starts, ends):
     return sums
 
 
-def _root_spectrum(tower, h, x):
-    """Eigenvalues of ``h^{1/2}`` with their trace weights, for ``h >= 0``.
+def _eigh(h, x):
+    """``np.linalg.eigh`` of a Hermitian ``h`` formed from the operator ``x``.
 
-    ``h`` is Hermitian and formed from the operator ``x``; an eigensolver
-    failure raises ``ArithmeticError`` naming ``x`` by digest, so it counts
-    as a numerical failure, not as bad input.
+    An eigensolver failure raises ``ArithmeticError`` naming ``x`` by digest,
+    so it counts as a numerical failure, not as bad input.
     """
     try:
-        eigvals, vecs = np.linalg.eigh(h)
+        return np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         digest = hashlib.sha256(np.ascontiguousarray(x)).hexdigest()[:16]
         raise ArithmeticError(f"eigensolver failed on operator sha256:{digest}") from exc
+
+
+def _root_spectrum(tower, h, x):
+    """Eigenvalues of ``h^{1/2}`` with their trace weights, for ``h >= 0``
+    formed from the operator ``x``."""
+    eigvals, vecs = _eigh(h, x)
     vals = np.sqrt(np.clip(eigvals, 0.0, None))
     weights = np.einsum("pi,p,pi->i", vecs.conj(), tower.weights, vecs).real
     return vals, np.clip(weights, 0.0, None)

@@ -297,3 +297,39 @@ def test_custom_tower_rejects_broken_nesting():
 def test_custom_tower_rejects_mixed_shapes():
     with pytest.raises(TowerError):
         build_tower(FiltrationSpec.custom([[np.eye(2)], [np.eye(3)]]))
+
+
+def test_custom_tower_treats_diagonal_operators_as_dense():
+    """Level 1 = span{1, h}: the expectation of a diagonal operator is not
+    diagonal, so a diagonal input must give the dense answer."""
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    units = [np.outer(np.eye(2)[i], np.eye(2)[j]) for i in range(2) for j in range(2)]
+    t = build_tower(FiltrationSpec.custom([[h], units]))
+    v = np.array([1.0, 0.0])
+    got = t.conditional_expectation(1, v)
+    assert got.shape == (2, 2)
+    assert np.allclose(got, [[0.75, 0.25], [0.25, 0.25]], atol=1e-12)
+    assert np.allclose(t.conditional_expectation(1, got), got, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# shared towers
+
+
+def test_build_tower_shares_tensor_and_abelian_towers():
+    tensor = build_tower(FiltrationSpec.parse("tensor:2,2,2"))
+    assert tensor is build_tower(FiltrationSpec.tensor([2, 2, 2]))
+    abelian = build_tower(FiltrationSpec.parse("abelian:3"))
+    assert abelian is build_tower(FiltrationSpec.abelian_dyadic(3))
+    # a shared tower's spec must not depend on how its first caller spelled it
+    assert build_tower(FiltrationSpec("tensor", (2.0, 2.0, 2.0))) is tensor
+    assert json.dumps(FiltrationSpec("abelian_dyadic", levels=3.0).to_json()) == json.dumps(
+        abelian.spec.to_json())
+    assert json.dumps(FiltrationSpec("tensor", (2.0, 2.0)).to_json()) == json.dumps(
+        FiltrationSpec.tensor([2, 2]).to_json())
+
+
+def test_build_tower_rebuilds_custom_specs():
+    p = np.diag([1.0, 0.0]).astype(complex)
+    spec = FiltrationSpec.custom([[p, np.eye(2) - p]])
+    assert build_tower(spec) is not build_tower(spec)

@@ -138,11 +138,14 @@ def test_threads_env(tmp_path, monkeypatch):
 
 def test_example_command(tmp_path):
     out = tmp_path / "ex.json"
-    assert main(["example", "--levels", "4", "--out", str(out)]) == 0
-    payload = json.loads(out.read_text())
-    assert len(payload["family"]) == 4
-    assert main(["example", "--levels", "3", "--kind", "noncommutative",
-                 "--out", str(out)]) == 0
+    for kind, levels in (("classical", 4), ("noncommutative", 3)):
+        assert main(["example", "--levels", str(levels), "--kind", kind,
+                     "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["family"]
+        assert len(rows) == levels
+        for row in rows:
+            norms = harness._example_norms(*harness.extremal_example(row["n"], kind))
+            assert (row["l1_norm"], row["half_order_l2"]) == (norms["l1"], norms["half_l2"])
 
 
 def test_norms_command(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ncmart.martingale as mg
-from ncmart.algebra import FiltrationSpec
+from ncmart.algebra import FiltrationSpec, Tower, build_tower
 from ncmart.harness import (
     ConfigError,
     ExperimentConfig,
@@ -185,6 +185,12 @@ def test_extremal_example_structure():
         extremal_example(2, "weird")
 
 
+def test_extremal_example_shares_towers():
+    tensor = build_tower(FiltrationSpec.parse("tensor:2,2,2"))
+    assert extremal_example(3, "noncommutative")[0] is tensor
+    assert extremal_example(3)[0] is build_tower(FiltrationSpec.parse("abelian:3"))
+
+
 def test_extremal_example_weak_witness():
     """Strong (1,2) failure witness: the L2/L1 ratio grows like sqrt(n/2)."""
     from ncmart.fractional import fractional_integral
@@ -247,6 +253,24 @@ def test_embedding_worst_slacks_include_failures():
     for name in ("basic_i", "basic_ii", "embed_inf2", "embed_21"):
         cases = [(f["grid"]["level"], f["trial"]) for f in by_check.get(name, ())]
         assert len(set(cases)) == len(cases)
+
+
+def test_runs_build_each_level_basis_once(monkeypatch):
+    """Two runs and their extremal family share the towers of their specs, so
+    no level basis is built twice (none at all if earlier tests built it)."""
+    built = []
+    build_level = Tower._build_level
+
+    def counting(self, k):
+        built.append((self.spec, k))
+        return build_level(self, k)
+
+    monkeypatch.setattr(Tower, "_build_level", counting)
+    cfg = _cfg("lp-lq", trials=2, extremal_n_max=3)
+    for _ in range(2):
+        run_ratio_experiment(cfg)
+    assert len(built) == len(set(built))
+    assert {1, 2} <= set(build_tower(cfg.tower)._level_cache)
 
 
 def test_ratio_records_have_repro_seeds():

@@ -189,6 +189,28 @@ def test_mixed_upper_eigensolver_failure_is_numerical(tensor222, monkeypatch):
     assert [f["check"] for f in report.failures] == ["trial_error", "trial_error"]
 
 
+def test_split_candidates_eigensolver_failure_is_numerical(tensor222, monkeypatch):
+    """The polar-support factorization fails as a numerical error."""
+    m = random_martingale(tensor222, "gaussian", trial_rng(3, 0, 0))
+    monkeypatch.setattr(mg, "_sqrt_psd", lambda g: g)
+    calls = _counting_eigh(monkeypatch, fail_below="_split_candidates")
+    with pytest.raises(ArithmeticError, match="eigensolver failed on operator sha256:"):
+        mg._split_candidates(tensor222, 2, m.differences[1])
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("experiment, trial_errors", [("h1-to-bmo", 4), ("hardy-column", 6)])
+def test_square_root_eigensolver_failure_is_trial_error(experiment, trial_errors, monkeypatch):
+    """An eigensolver failure in a trial is recorded; ``one`` runs a single
+    trial, so the extremal family outside it keeps a working eigensolver."""
+    _counting_eigh(monkeypatch, fail_below="one")
+    cfg = ExperimentConfig(experiment, FiltrationSpec.tensor([2, 2]), trials=2, seed=5,
+                           extremal_n_max=2)
+    report = run_ratio_experiment(cfg)
+    assert [f["check"] for f in report.failures] == ["trial_error"] * trial_errors
+    assert all("eigensolver failed on operator sha256:" in f["detail"] for f in report.failures)
+
+
 @pytest.mark.xfail(strict=True, reason="on a diagonal dx, _split_candidates forms dx - a "
                    "with a dense a, which broadcasts to a wrong matrix")
 def test_hardy_mixed_upper_splits_diagonal_differences():
