@@ -9,8 +9,8 @@ import numpy as np
 
 from .algebra import Tower, TowerError
 from .spectral import (
-    SingularValueFunction,
     _eigh,
+    _root_power_sum,
     _root_spectrum,
     lp_norm,
     operator_norm,
@@ -64,6 +64,8 @@ class MartingaleSequence:
     differences: tuple
 
     def __post_init__(self):
+        if not self.differences:
+            raise TowerError("a martingale needs at least one difference")
         if len(self.differences) > self.tower.n_levels:
             raise TowerError("more differences than tower levels")
         object.__setattr__(
@@ -99,6 +101,8 @@ class MartingaleSequence:
 def adapt(tower: Tower, x, n_levels=None) -> MartingaleSequence:
     """Canonical martingale of ``x``: differences ``E_k(x) - E_{k-1}(x)``."""
     n = tower.n_levels if n_levels is None else n_levels
+    if n < 1:
+        raise TowerError(f"adapt needs at least one level, got {n}")
     x = tower._check(x)
     diffs = []
     prev = np.zeros_like(x)
@@ -172,13 +176,15 @@ def _gram_lp_norm(tower, g, p):
 
     ``g^{1/2}`` and ``g`` share eigenvectors, so the eigenvalues of the
     Hermitian part of ``g`` give the singular values of ``g^{1/2}`` and
-    their trace weights at once.
+    their trace weights at once.  The norm is the weighted power sum
+    ``(sum w * v^p)^(1/p)`` of those samples; no step function is built,
+    since merging near-tied samples changes the sum only by rounding.
     """
     if g.ndim == 1:
         vals, weights = np.sqrt(np.clip(g.real, 0.0, None)), tower.weights
     else:
         vals, weights = _root_spectrum(tower, (g + g.conj().T) / 2, g)
-    return lp_norm(SingularValueFunction.from_spectrum(vals, weights), p)
+    return _root_power_sum(vals, weights, p, p)
 
 
 def hardy_mixed_upper(m: MartingaleSequence, p, refine=True):
@@ -193,8 +199,9 @@ def hardy_mixed_upper(m: MartingaleSequence, p, refine=True):
     The Grams ``a_k^* a_k`` and ``b_k b_k^*`` of every candidate are formed
     once per call (only the interpolation step forms its own).  An
     evaluation sums the chosen Grams level by level and takes each side's
-    norm from one eigendecomposition of the sum, so it agrees with
-    ``hardy_column_norm(y, p) + hardy_row_norm(z, p)`` up to rounding.
+    norm as a weighted power sum of the eigenvalues of one eigendecomposition
+    of the sum, without building a singular value function, so it agrees
+    with ``hardy_column_norm(y, p) + hardy_row_norm(z, p)`` up to rounding.
     """
     if not 0 < p < 2:
         raise ValueError("hardy_mixed_upper requires 0 < p < 2")

@@ -9,7 +9,13 @@ import ncmart.martingale as mg
 from ncmart.algebra import FiltrationSpec, TowerError, build_tower
 from ncmart.fractional import zeta_sequence
 from ncmart.harness import ExperimentConfig, random_martingale, run_ratio_experiment, trial_rng
-from ncmart.spectral import lp_norm, operator_norm, singular_value_function
+from ncmart.spectral import (
+    SingularValueFunction,
+    _root_spectrum,
+    lp_norm,
+    operator_norm,
+    singular_value_function,
+)
 
 
 def _random_dense(rng, d):
@@ -59,6 +65,14 @@ def test_sequence_validation(tensor22, rng):
         m.partial_sum(5)
     with pytest.raises(TowerError):
         m.scaled([1.0])
+
+
+def test_empty_martingale_is_rejected(tensor22, rng):
+    with pytest.raises(TowerError, match="at least one difference"):
+        mg.MartingaleSequence(tensor22, ())
+    for n in (0, -1):
+        with pytest.raises(TowerError, match="at least one level"):
+            mg.adapt(tensor22, _random_dense(rng, 4), n_levels=n)
 
 
 def test_l2_isometry(any_tower, rng):
@@ -150,6 +164,61 @@ def test_mixed_upper_bound_matches_public_norms(request, tower_name):
             zs = mg.MartingaleSequence(tower, tuple(b for _, b in decomp))
             achieved = mg.hardy_column_norm(ys, p) + mg.hardy_row_norm(zs, p)
             assert bound == pytest.approx(achieved, rel=1e-12, abs=0.0)
+
+
+@pytest.fixture(scope="module")
+def weighted2():
+    """One-level custom tower on C^2 with the non-uniform trace (1/4, 3/4)."""
+    e = np.eye(2, dtype=complex)
+    p = np.diag([1.0, 0.0]).astype(complex)
+    return build_tower(FiltrationSpec.custom([[p, e - p]], weights=[0.25, 0.75]))
+
+
+def _test_grams(rng, d):
+    """Random, tied, rank-deficient and diagonal Gram sums on C^d."""
+    r = max(1, d // 2)
+    a = _random_dense(rng, d)
+    thin = _random_dense(rng, d)[:, :r]
+    q = np.linalg.qr(_random_dense(rng, d))[0][:, :r]
+    proj = q @ q.conj().T
+    diag = rng.random(d) + 0j
+    diag[: d // 2] = 0.0
+    return {
+        "random": a.conj().T @ a,
+        "projection": proj,
+        "identity": 2.5 * np.eye(d, dtype=complex),
+        "rank-deficient": thin @ thin.conj().T,
+        "diagonal": diag,
+        "diagonal-tied": np.full(d, 0.7 + 0j),
+    }
+
+
+@pytest.mark.parametrize("tower_name", ["tensor222", "custom4", "weighted2"])
+def test_gram_power_sum_matches_step_function(request, tower_name):
+    """The power-sum kernel equals the L_p norm of the merged step function."""
+    tower = request.getfixturevalue(tower_name)
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        for name, g in _test_grams(rng, tower.dim).items():
+            if g.ndim == 1:
+                spectrum = np.sqrt(np.clip(g.real, 0.0, None)), tower.weights
+            else:
+                spectrum = _root_spectrum(tower, (g + g.conj().T) / 2, g)
+            step = SingularValueFunction.from_spectrum(*spectrum)
+            for p in (0.5, 1.0, 1.5):
+                got = mg._gram_lp_norm(tower, g, p)
+                assert got == pytest.approx(lp_norm(step, p), rel=1e-12, abs=0.0), (name, p)
+
+
+def test_mixed_upper_builds_no_step_function(tensor222, monkeypatch):
+    m = random_martingale(tensor222, "gaussian", trial_rng(3, 0, 0))
+
+    def refuse(values, weights):
+        raise AssertionError("step function built")
+
+    monkeypatch.setattr(SingularValueFunction, "from_spectrum", staticmethod(refuse))
+    bound, _ = mg.hardy_mixed_upper(m, 1.0)
+    assert math.isfinite(bound) and bound > 0
 
 
 def _counting_eigh(monkeypatch, fail_below=None):
