@@ -174,13 +174,16 @@ def trial_rng(seed, *indices):
 
 def random_martingale(tower: Tower, profile, rng) -> mg.MartingaleSequence:
     """Sample a martingale: Gaussian differences, a normalized positive
-    final value, or a single difference at a given level."""
+    final value, or a single difference at a given level.
+
+    ``gaussian`` projects one Gaussian element onto each ``D_k``;
+    ``single:k`` has ``k`` differences, zero but the last.  The constructor
+    stacks the differences into one array.
+    """
     if profile == "gaussian":
-        diffs = [
+        return mg.MartingaleSequence(tower, [
             tower.project_difference(k, tower.random_element(rng))
-            for k in range(1, tower.n_levels + 1)
-        ]
-        return mg.MartingaleSequence(tower, tuple(diffs))
+            for k in range(1, tower.n_levels + 1)])
     if profile == "positive_l1":
         for _ in range(16):
             g = tower.random_element(rng)
@@ -195,9 +198,9 @@ def random_martingale(tower: Tower, profile, rng) -> mg.MartingaleSequence:
     if profile.startswith("single:"):
         k = int(profile.split(":", 1)[1])
         dx = tower.project_difference(k, tower.random_element(rng))
-        diffs = [np.zeros_like(dx) for _ in range(k)]
+        diffs = np.zeros((k, *dx.shape), dtype=complex)
         diffs[k - 1] = dx
-        return mg.MartingaleSequence(tower, tuple(diffs))
+        return mg.MartingaleSequence(tower, diffs)
     raise ConfigError(f"unknown martingale profile {profile!r}")
 
 

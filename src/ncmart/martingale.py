@@ -58,44 +58,56 @@ def _sqrt_psd(m):
 
 @dataclass(frozen=True)
 class MartingaleSequence:
-    """Finite adapted sequence stored through its differences ``dx_1..dx_n``."""
+    """Finite adapted sequence stored through its differences ``dx_1..dx_n``.
+
+    ``differences`` is one C-contiguous complex array over the level axis:
+    ``(n, d, d)``, or ``(n, d)`` when every difference is diagonal.  The
+    constructor takes any sequence of operators and stacks it; a stack of
+    that form is kept without a copy.  If diagonal and dense differences are
+    mixed, all are made dense.
+    """
 
     tower: Tower
-    differences: tuple
+    differences: np.ndarray
 
     def __post_init__(self):
-        if not self.differences:
+        tower = self.tower
+        try:
+            diffs = np.ascontiguousarray(self.differences, dtype=complex)
+        except ValueError:  # diagonal and dense differences mixed
+            diffs = np.stack([tower._dense(tower._check(d)) for d in self.differences])
+        rows = [tower._check(d) for d in diffs]
+        if not rows:
             raise TowerError("a martingale needs at least one difference")
-        if len(self.differences) > self.tower.n_levels:
+        if len(rows) > tower.n_levels:
             raise TowerError("more differences than tower levels")
-        object.__setattr__(
-            self, "differences", tuple(self.tower._check(d) for d in self.differences)
-        )
+        if rows[0].ndim != diffs.ndim - 1:  # a custom tower made diagonal rows dense
+            diffs = np.stack(rows)
+        object.__setattr__(self, "differences", diffs)
 
     def __len__(self):
         return len(self.differences)
 
     @property
     def final(self):
-        return sum(self.differences)
+        return self.differences.sum(axis=0)
 
     def partial_sum(self, n):
         if not 0 <= n <= len(self):
             raise TowerError(f"partial sum index {n} out of range")
-        if n == 0:
-            return np.zeros_like(self.differences[0])
-        return sum(self.differences[:n])
+        return self.differences[:n].sum(axis=0)
 
     def adjoint(self) -> "MartingaleSequence":
-        return MartingaleSequence(self.tower, tuple(_adjoint(d) for d in self.differences))
+        d = self.differences.conj()
+        return MartingaleSequence(self.tower, d if d.ndim == 2 else d.swapaxes(1, 2))
 
     def scaled(self, factors) -> "MartingaleSequence":
-        factors = list(factors)
-        if len(factors) < len(self):
+        d = self.differences
+        factors = np.asarray(list(factors))
+        if factors.size < len(d):
             raise TowerError("coefficient sequence shorter than martingale")
-        return MartingaleSequence(
-            self.tower, tuple(f * d for f, d in zip(factors, self.differences))
-        )
+        shape = (len(d),) + (1,) * (d.ndim - 1)
+        return MartingaleSequence(self.tower, factors[: len(d)].reshape(shape) * d)
 
 
 def adapt(tower: Tower, x, n_levels=None) -> MartingaleSequence:
@@ -104,13 +116,8 @@ def adapt(tower: Tower, x, n_levels=None) -> MartingaleSequence:
     if n < 1:
         raise TowerError(f"adapt needs at least one level, got {n}")
     x = tower._check(x)
-    diffs = []
-    prev = np.zeros_like(x)
-    for k in range(1, n + 1):
-        cur = tower.conditional_expectation(k, x)
-        diffs.append(cur - prev)
-        prev = cur
-    return MartingaleSequence(tower, tuple(diffs))
+    levels = [np.zeros_like(x)] + [tower.conditional_expectation(k, x) for k in range(1, n + 1)]
+    return MartingaleSequence(tower, np.diff(levels, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -122,10 +129,9 @@ def column_square_function(m: MartingaleSequence, n=None):
     n = len(m) if n is None else n
     if not 1 <= n <= len(m):
         raise TowerError(f"square function index {n} out of range")
-    acc = _abs_squared(m.differences[0])
-    for k in range(1, n):
-        acc = acc + _abs_squared(m.differences[k])
-    return _sqrt_psd(acc)
+    d = m.differences[:n]
+    grams = np.abs(d) ** 2 if d.ndim == 2 else d.conj().swapaxes(1, 2) @ d
+    return _sqrt_psd(grams.sum(axis=0))
 
 
 def row_square_function(m: MartingaleSequence, n=None):
@@ -222,7 +228,7 @@ def hardy_mixed_upper(m: MartingaleSequence, p, refine=True):
     best_choice = [0] * n
     best = objective(chosen(best_choice))
     for i in range(1, len(per_k[0])):
-        uniform = [min(i, len(per_k[k]) - 1) for k in range(n)]
+        uniform = [i] * n
         val = objective(chosen(uniform))
         if val < best:
             best, best_choice = val, uniform

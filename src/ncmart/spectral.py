@@ -26,10 +26,6 @@ __all__ = [
 ]
 
 MERGE_TOL = 1e-12
-# Spectra up to this length are merged by a Python loop, longer ones by array
-# operations.  The loop is faster below about 48 distinct samples, and below
-# about 128 when samples tie in fours (numpy 2.4, one core).
-SHORT_SPECTRUM = 64
 # Above this exponent, power sums are evaluated in log space.
 LOG_SPACE_EXPONENT = 32.0
 
@@ -89,26 +85,10 @@ class SingularValueFunction:
         values, weights = values[keep], weights[keep]
         if values.size == 0:
             return SingularValueFunction(np.zeros(1), np.ones(1))
-        if values.size <= SHORT_SPECTRUM:
-            vs, ws = _merge_in_turn(values, weights)
-        else:
-            starts, ends = _pieces(values)
-            vs, ws = values[starts], _piece_sums(weights, starts, ends)
-        cums = np.cumsum(ws)
+        starts, ends = _pieces(values)
+        cums = np.cumsum(_piece_sums(weights, starts, ends))
         cums[-1] = 1.0  # weights sum to tau(1) = 1 up to rounding
-        return SingularValueFunction(np.maximum(vs, 0.0), cums)
-
-
-def _merge_in_turn(values, weights):
-    """Merge sorted samples one at a time, the rule stated in ``from_spectrum``."""
-    vs, ws = [], []
-    for v, w in zip(values.tolist(), weights.tolist()):
-        if vs and vs[-1] - v <= MERGE_TOL * max(1.0, vs[-1]):
-            ws[-1] += w
-        else:
-            vs.append(v)
-            ws.append(w)
-    return np.asarray(vs), np.asarray(ws)
+        return SingularValueFunction(np.maximum(values[starts], 0.0), cums)
 
 
 def _within_tol(head, v):

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -99,6 +103,19 @@ def test_verify_non_dyadic_tensor_tower():
     """tensor:4,4,4 takes the closed-form constants, so no optimizer runs."""
     assert main(["verify", "--experiment", "weak-type", "--tower", "tensor:4,4,4",
                  "--seed", "1", "--trials", "2"]) == 0
+
+
+def test_module_entry_point_from_source_checkout(tmp_path):
+    """``python -m ncmart`` runs the CLI with only ``src`` on the path."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    argv = ["verify", "--experiment", "weak-type", "--tower", "tensor:2", "--seed", "1",
+            "--trials", "1"]
+    done = subprocess.run([sys.executable, "-m", "ncmart", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["experiment"] == "weak-type"
 
 
 def test_verify_failure_exit_code(tmp_path, monkeypatch):

@@ -67,6 +67,31 @@ def test_sequence_validation(tensor22, rng):
         m.scaled([1.0])
 
 
+def test_mixed_diagonal_and_dense_differences_become_dense(tensor22):
+    unit = np.zeros((4, 4), dtype=complex)
+    unit[0, 1] = 1.0
+    m = mg.MartingaleSequence(tensor22, (np.ones(4), unit))
+    assert m.differences.shape == (2, 4, 4)
+    assert np.array_equal(m.final, np.eye(4) + unit)
+
+
+def test_differences_are_one_stack(tensor222, abelian3, rng):
+    """Dense martingales stack as ``(n, d, d)``, diagonal ones as ``(n, d)``."""
+    dense = mg.adapt(tensor222, _random_dense(rng, 8))
+    diagonal = mg.adapt(abelian3, rng.standard_normal(8) + 0j)
+    assert dense.differences.shape == (3, 8, 8)
+    assert diagonal.differences.shape == (3, 8)
+    for m in (dense, diagonal):
+        assert mg.MartingaleSequence(m.tower, m.differences).differences is m.differences
+        assert np.array_equal(m.partial_sum(0), np.zeros_like(m.differences[0]))
+        adj = m.adjoint()
+        for dx, dy in zip(m.differences, adj.differences):
+            assert np.array_equal(dy, dx.conj() if dx.ndim == 1 else dx.conj().T)
+        scaled = m.scaled([0.5, 0.25, 0.125, 2.0])
+        for f, dx, dy in zip([0.5, 0.25, 0.125], m.differences, scaled.differences):
+            assert np.array_equal(dy, f * dx)
+
+
 def test_empty_martingale_is_rejected(tensor22, rng):
     with pytest.raises(TowerError, match="at least one difference"):
         mg.MartingaleSequence(tensor22, ())

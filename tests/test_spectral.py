@@ -1,13 +1,11 @@
 import json
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ncmart.spectral as spectral
 from ncmart.spectral import (
     MERGE_TOL,
     SingularValueFunction,
@@ -126,13 +124,11 @@ def clustered_spectra(draw):
     return np.asarray(values), weights
 
 
-@pytest.mark.parametrize("short", [0, spectral.SHORT_SPECTRUM], ids=["arrays", "loop"])
 @settings(max_examples=200, deadline=None)
 @given(spectrum=clustered_spectra())
-def test_from_spectrum_matches_sequential_merge(short, spectrum):
+def test_from_spectrum_matches_sequential_merge(spectrum):
     values, weights = spectrum
-    with mock.patch.object(spectral, "SHORT_SPECTRUM", short):
-        s = SingularValueFunction.from_spectrum(values, weights)
+    s = SingularValueFunction.from_spectrum(values, weights)
     ref_values, ref_cums = _merge_sequentially(values, weights)
     assert np.array_equal(s.values, ref_values)
     assert np.array_equal(s.cums, ref_cums)
