@@ -242,6 +242,9 @@ class Tower:
             self.weights = np.full(self.dim, 1.0 / self.dim)
         else:
             self._init_custom(spec)
+        # Equal weights (tensor, abelian, unweighted custom towers) give every
+        # unit vector the trace weight ``weights[0]``.
+        self.uniform_trace = bool(np.all(self.weights == self.weights[0]))
 
     # -- construction of custom towers ------------------------------------
 

@@ -10,6 +10,7 @@ import numpy as np
 from .algebra import Tower, TowerError
 from .spectral import (
     _eigh,
+    _eigvalsh,
     _root_power_sum,
     _root_spectrum,
     lp_norm,
@@ -38,6 +39,8 @@ __all__ = [
 
 PROJECTION_TOL = 1e-8
 DIFFERENCE_TOL = 1e-9
+# Weights t of the mixed-Hardy refinement's splits (1 - t) * best + t * pure.
+INTERPOLATION_STEPS = (0.25, 0.5, 0.75)
 
 
 def _adjoint(x):
@@ -177,20 +180,30 @@ def _gram_pair(a, b):
     return _abs_squared(a), _abs_squared(_adjoint(b))
 
 
-def _gram_lp_norm(tower, g, p):
-    """``||g^{1/2}||_p`` of a positive Gram sum from one eigendecomposition.
+def _interpolate(split, alt, t):
+    """The split ``(1 - t) * split + t * alt`` of the same difference."""
+    (a0, b0), (a1, b1) = split, alt
+    return (1 - t) * a0 + t * a1, (1 - t) * b0 + t * b1
 
-    ``g^{1/2}`` and ``g`` share eigenvectors, so the eigenvalues of the
-    Hermitian part of ``g`` give the singular values of ``g^{1/2}`` and
-    their trace weights at once.  The norm is the weighted power sum
-    ``(sum w * v^p)^(1/p)`` of those samples; no step function is built,
-    since merging near-tied samples changes the sum only by rounding.
+
+def _gram_lp_norms(tower, grams, p):
+    """``||g^{1/2}||_p`` of each positive Gram sum ``g`` in a stack.
+
+    ``grams`` is ``(b, d)`` for diagonal sums or ``(b, d, d)`` for the
+    Hermitian parts of dense ones.  ``g^{1/2}`` and ``g`` share eigenvectors,
+    so each norm is the weighted power sum ``(sum w * v^p)^(1/p)`` over the
+    square roots ``v`` of the eigenvalues of ``g`` and their trace weights
+    ``w``; no step function is built, since merging near-tied samples changes
+    the sum only by rounding.  On a uniform trace every unit vector has
+    weight ``weights[0]``, so one ``eigvalsh`` call serves the whole stack;
+    otherwise each sum's weights come from the eigenvectors of its ``eigh``.
     """
-    if g.ndim == 1:
-        vals, weights = np.sqrt(np.clip(g.real, 0.0, None)), tower.weights
-    else:
-        vals, weights = _root_spectrum(tower, (g + g.conj().T) / 2, g)
-    return _root_power_sum(vals, weights, p, p)
+    if grams.ndim == 3 and not tower.uniform_trace:
+        return np.array([_root_power_sum(*_root_spectrum(tower, g, g), p, p) for g in grams])
+    roots = np.sqrt(np.clip(grams.real if grams.ndim == 2 else _eigvalsh(grams, grams), 0.0, None))
+    if np.max(roots, initial=0.0) ** p < 1e300:
+        return np.sum(tower.weights * roots**p, axis=-1) ** (1.0 / p)
+    return np.array([_root_power_sum(v, tower.weights, p, p) for v in roots])
 
 
 def hardy_mixed_upper(m: MartingaleSequence, p, refine=True):
@@ -203,11 +216,22 @@ def hardy_mixed_upper(m: MartingaleSequence, p, refine=True):
     achieving decomposition.
 
     The Grams ``a_k^* a_k`` and ``b_k b_k^*`` of every candidate are formed
-    once per call (only the interpolation step forms its own).  An
-    evaluation sums the chosen Grams level by level and takes each side's
-    norm as a weighted power sum of the eigenvalues of one eigendecomposition
-    of the sum, without building a singular value function, so it agrees
-    with ``hardy_column_norm(y, p) + hardy_row_norm(z, p)`` up to rounding.
+    once per call (only the interpolation step forms its own).  The search
+    runs in phases: the uniform candidates, one coordinate step, or the
+    interpolations at one level.  The trials of a phase differ from the
+    current choice at one level only, so their values do not depend on which
+    of them the phase accepts: they are evaluated together and then accepted
+    in order under the sequential rules.  Values are memoized per choice,
+    since the second coordinate round revisits choices.  An evaluation sums
+    the chosen Grams level by level; the Hermitian parts of a phase's dense
+    sums share one stack, and one ``eigvalsh`` call gives the eigenvalues
+    whose power sums are the norms (``_gram_lp_norms``; on a non-uniform
+    trace, an ``eigh`` of each sum gives the trace weights).  No singular
+    value function is built, and the bound agrees with
+    ``hardy_column_norm(y, p) + hardy_row_norm(z, p)`` up to rounding.  With
+    two worker threads, numpy 2.4.6 overlapped ``eigvalsh`` on stacks of
+    eight 64x64 matrices but not on single ones, so the stacks also serve
+    parallel trials.
     """
     if not 0 < p < 2:
         raise ValueError("hardy_mixed_upper requires 0 < p < 2")
@@ -215,33 +239,59 @@ def hardy_mixed_upper(m: MartingaleSequence, p, refine=True):
     per_k = [_split_candidates(tower, k + 1, dx) for k, dx in enumerate(m.differences)]
     grams = [[_gram_pair(a, b) for a, b in cands] for cands in per_k]
 
-    def objective(pairs):
-        col, row = pairs[0]
-        for c, r in pairs[1:]:
-            col, row = col + c, row + r
-        return _gram_lp_norm(tower, col, p) + _gram_lp_norm(tower, row, p)
+    # One stack serves every phase of the call: a fresh stack per phase kept
+    # about 1 MB more resident on the mixed-hardy benchmark (two threads).
+    phase_max = max(len(per_k[0]), 2 * len(INTERPOLATION_STEPS))
+    stack = np.empty((2 * phase_max, tower.dim, tower.dim), dtype=complex)
 
-    def chosen(choice):
-        return [grams[k][i] for k, i in enumerate(choice)]
+    def evaluate(count, trials):
+        """Objectives of ``count`` trials, each a list of per-level Gram pairs."""
+        norms = np.empty(2 * count)
+        dense, diagonal = [], []
+        for j, pairs in enumerate(trials):
+            for side in (0, 1):
+                g = pairs[0][side]
+                for pair in pairs[1:]:
+                    g = g + pair[side]
+                if g.ndim == 1:
+                    diagonal.append((2 * j + side, g))
+                    continue
+                h = stack[len(dense)]
+                np.add(g, g.conj().T, out=h)
+                h *= 0.5
+                dense.append(2 * j + side)
+        if dense:
+            norms[dense] = _gram_lp_norms(tower, stack[: len(dense)], p)
+        if diagonal:
+            slots, sums = zip(*diagonal)
+            norms[list(slots)] = _gram_lp_norms(tower, np.stack(sums), p)
+        return norms[0::2] + norms[1::2]
+
+    memo = {}
+
+    def values(choices):
+        new = [c for c in choices if c not in memo]
+        if new:
+            trials = ([grams[k][i] for k, i in enumerate(c)] for c in new)
+            memo.update(zip(new, evaluate(len(new), trials).tolist()))
+        return [memo[c] for c in choices]
 
     n = len(m)
-    best_choice = [0] * n
-    best = objective(chosen(best_choice))
-    for i in range(1, len(per_k[0])):
-        uniform = [i] * n
-        val = objective(chosen(uniform))
+    uniform = [(i,) * n for i in range(len(per_k[0]))]
+    vals = values(uniform)
+    best_choice, best = uniform[0], vals[0]
+    for choice, val in zip(uniform[1:], vals[1:]):
         if val < best:
-            best, best_choice = val, uniform
+            best, best_choice = val, choice
     if refine and n > 1:
         for _ in range(2):
             improved = False
             for k in range(n):
-                for i in range(len(per_k[k])):
-                    if i == best_choice[k]:
-                        continue
-                    trial = list(best_choice)
-                    trial[k] = i
-                    val = objective(chosen(trial))
+                # an accepted index lies behind the loop, so only the
+                # phase's starting index is ever skipped as current
+                others = [i for i in range(len(per_k[k])) if i != best_choice[k]]
+                trials = [best_choice[:k] + (i,) + best_choice[k + 1 :] for i in others]
+                for trial, val in zip(trials, values(trials)):
                     if val < best - 1e-15:
                         best, best_choice, improved = val, trial, True
             if not improved:
@@ -249,31 +299,32 @@ def hardy_mixed_upper(m: MartingaleSequence, p, refine=True):
     decomposition = [per_k[k][i] for k, i in enumerate(best_choice)]
     if refine:
         # convex interpolation between the chosen split and the pure splits
-        current = chosen(best_choice)
+        current = [grams[k][i] for k, i in enumerate(best_choice)]
         for k in range(n):
-            a0, b0 = decomposition[k]
-            for alt in (per_k[k][0], per_k[k][1]):
-                for t in (0.25, 0.5, 0.75):
-                    a = (1 - t) * a0 + t * alt[0]
-                    b = (1 - t) * b0 + t * alt[1]
-                    trial = list(current)
-                    trial[k] = _gram_pair(a, b)
-                    val = objective(trial)
-                    if val < best - 1e-15:
-                        best, current = val, trial
-                        decomposition[k] = (a, b)
+            base = decomposition[k]
+            moves = [(per_k[k][j], t) for j in (0, 1) for t in INTERPOLATION_STEPS]
+            trials = (current[:k] + [_gram_pair(*_interpolate(base, *mv))] + current[k + 1 :]
+                      for mv in moves)
+            accepted = None
+            for mv, val in zip(moves, evaluate(len(moves), trials).tolist()):
+                if val < best - 1e-15:
+                    best, accepted = val, mv
+            if accepted is not None:
+                decomposition[k] = _interpolate(base, *accepted)
+                current[k] = _gram_pair(*decomposition[k])
     return best, decomposition
 
 
 def hd_norm(m: MartingaleSequence, p) -> float:
-    """Diagonal Hardy norm ``(sum_k ||dx_k||_p^p)^{1/p}``."""
+    """Diagonal Hardy norm ``(sum_k ||dx_k||_p^p)^{1/p}``; ``max_k ||dx_k||_inf``
+    for ``p = inf``."""
     p = float(p)
     if p <= 0:
         raise ValueError("p must be positive")
-    total = 0.0
-    for dx in m.differences:
-        total += lp_norm(singular_value_function(m.tower, dx), p) ** p
-    return total ** (1.0 / p)
+    norms = np.array([lp_norm(singular_value_function(m.tower, dx), p) for dx in m.differences])
+    if p == math.inf:
+        return float(norms.max())
+    return _root_power_sum(norms, np.ones(norms.size), p, p)
 
 
 def bmo_column_norm(m: MartingaleSequence) -> float:

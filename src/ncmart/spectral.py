@@ -139,6 +139,11 @@ def _piece_sums(weights, starts, ends):
     return sums
 
 
+def _solver_failure(x):
+    digest = hashlib.sha256(np.ascontiguousarray(x)).hexdigest()[:16]
+    return ArithmeticError(f"eigensolver failed on operator sha256:{digest}")
+
+
 def _eigh(h, x):
     """``np.linalg.eigh`` of a Hermitian ``h`` formed from the operator ``x``.
 
@@ -148,8 +153,16 @@ def _eigh(h, x):
     try:
         return np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
-        digest = hashlib.sha256(np.ascontiguousarray(x)).hexdigest()[:16]
-        raise ArithmeticError(f"eigensolver failed on operator sha256:{digest}") from exc
+        raise _solver_failure(x) from exc
+
+
+def _eigvalsh(h, x):
+    """``np.linalg.eigvalsh`` of a Hermitian ``h``, or of a stack of them,
+    formed from ``x``; a failure raises ``ArithmeticError`` as in ``_eigh``."""
+    try:
+        return np.linalg.eigvalsh(h)
+    except np.linalg.LinAlgError as exc:
+        raise _solver_failure(x) from exc
 
 
 def _root_spectrum(tower, h, x):

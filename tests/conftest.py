@@ -42,6 +42,14 @@ def custom4():
     return build_tower(FiltrationSpec.custom([level1, level2, units]))
 
 
+@pytest.fixture(scope="session")
+def weighted2():
+    """One-level custom tower on C^2 with the non-uniform trace (1/4, 3/4)."""
+    e = np.eye(2, dtype=complex)
+    p = np.diag([1.0, 0.0]).astype(complex)
+    return build_tower(FiltrationSpec.custom([[p, e - p]], weights=[0.25, 0.75]))
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260823)

@@ -270,6 +270,12 @@ def test_custom_tower_accepts_weights():
     assert abs(t.trace(p).real - 0.25) < 1e-12
 
 
+@pytest.mark.parametrize("tower_name, uniform", [("tensor222", True), ("abelian3", True),
+                                                  ("custom4", True), ("weighted2", False)])
+def test_uniform_trace(request, tower_name, uniform):
+    assert request.getfixturevalue(tower_name).uniform_trace is uniform
+
+
 def test_custom_tower_rejects_bad_weights():
     e = np.eye(2, dtype=complex)
     with pytest.raises(TowerError):

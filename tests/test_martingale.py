@@ -191,14 +191,6 @@ def test_mixed_upper_bound_matches_public_norms(request, tower_name):
             assert bound == pytest.approx(achieved, rel=1e-12, abs=0.0)
 
 
-@pytest.fixture(scope="module")
-def weighted2():
-    """One-level custom tower on C^2 with the non-uniform trace (1/4, 3/4)."""
-    e = np.eye(2, dtype=complex)
-    p = np.diag([1.0, 0.0]).astype(complex)
-    return build_tower(FiltrationSpec.custom([[p, e - p]], weights=[0.25, 0.75]))
-
-
 def _test_grams(rng, d):
     """Random, tied, rank-deficient and diagonal Gram sums on C^d."""
     r = max(1, d // 2)
@@ -218,21 +210,132 @@ def _test_grams(rng, d):
     }
 
 
+def _counting_solvers(monkeypatch, fail_below=None):
+    """Record ``(name, shape)`` of each ``np.linalg.eigh`` and ``eigvalsh``
+    call; raise ``LinAlgError`` inside a frame named ``fail_below``."""
+    calls = []
+
+    def counted(name):
+        solver = getattr(np.linalg, name)
+
+        def wrapper(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            frame = sys._getframe(1)
+            while fail_below is not None and frame is not None:
+                if frame.f_code.co_name == fail_below:
+                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+                frame = frame.f_back
+            return solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapper)
+
+    counted("eigh")
+    counted("eigvalsh")
+    return calls
+
+
 @pytest.mark.parametrize("tower_name", ["tensor222", "custom4", "weighted2"])
-def test_gram_power_sum_matches_step_function(request, tower_name):
-    """The power-sum kernel equals the L_p norm of the merged step function."""
+def test_gram_power_sum_matches_step_function(request, tower_name, monkeypatch):
+    """The stacked power-sum kernel equals the L_p norm of the merged step
+    function built from the same eigenvalues, and a non-uniform trace still
+    takes its weights from eigenvectors."""
     tower = request.getfixturevalue(tower_name)
     rng = np.random.default_rng(8)
     for _ in range(3):
-        for name, g in _test_grams(rng, tower.dim).items():
-            if g.ndim == 1:
-                spectrum = np.sqrt(np.clip(g.real, 0.0, None)), tower.weights
+        grams = list(_test_grams(rng, tower.dim).values())
+        dense = np.stack([(g + g.conj().T) / 2 for g in grams if g.ndim == 2])
+        diagonal = np.stack([g for g in grams if g.ndim == 1])
+        for h, vals in zip(dense, np.linalg.eigvalsh(dense)):
+            assert np.max(np.abs(vals - np.linalg.eigh(h)[0])) <= 1e-12 * np.linalg.norm(h, 2)
+        if tower.uniform_trace:
+            spectra = [(np.sqrt(np.clip(v, 0.0, None)), tower.weights)
+                       for v in np.linalg.eigvalsh(dense)]
+        else:
+            spectra = [_root_spectrum(tower, h, h) for h in dense]
+        spectra += [(np.sqrt(np.clip(g.real, 0.0, None)), tower.weights) for g in diagonal]
+        for p in (0.5, 1.0, 1.5):
+            with monkeypatch.context() as patched:
+                calls = _counting_solvers(patched)
+                got = np.concatenate([mg._gram_lp_norms(tower, dense, p),
+                                      mg._gram_lp_norms(tower, diagonal, p)])
+            if tower.uniform_trace:
+                assert calls == [("eigvalsh", dense.shape)]
             else:
-                spectrum = _root_spectrum(tower, (g + g.conj().T) / 2, g)
-            step = SingularValueFunction.from_spectrum(*spectrum)
-            for p in (0.5, 1.0, 1.5):
-                got = mg._gram_lp_norm(tower, g, p)
-                assert got == pytest.approx(lp_norm(step, p), rel=1e-12, abs=0.0), (name, p)
+                assert calls == [("eigh", dense.shape[1:])] * len(dense)
+            for i, (spectrum, value) in enumerate(zip(spectra, got, strict=True)):
+                want = lp_norm(SingularValueFunction.from_spectrum(*spectrum), p)
+                assert value == pytest.approx(want, rel=1e-12, abs=0.0), (i, p)
+
+
+def test_gram_power_sum_near_float_range(tensor222):
+    """Powers near the float range fall back to log-space sums."""
+    huge = 1e306 * np.eye(8, dtype=complex)
+    for grams in (huge[None], np.diagonal(huge)[None]):
+        assert mg._gram_lp_norms(tensor222, grams, 1.99) == pytest.approx([1e153], rel=1e-12)
+
+
+def _mixed_upper_one_trial_at_a_time(m, p):
+    """The mixed-Hardy search with one kernel call per trial, in the order
+    and under the accept rules of the sequential search."""
+    tower = m.tower
+    per_k = [mg._split_candidates(tower, k + 1, dx) for k, dx in enumerate(m.differences)]
+
+    def objective(splits):
+        total = 0.0
+        for side in (0, 1):
+            g = mg._gram_pair(*splits[0])[side]
+            for split in splits[1:]:
+                g = g + mg._gram_pair(*split)[side]
+            if g.ndim == 2:
+                g = (g + g.conj().T) / 2
+            total += mg._gram_lp_norms(tower, g[None], p)[0]
+        return total
+
+    n = len(m)
+    choice = [0] * n
+    best = objective([cands[0] for cands in per_k])
+    for i in range(1, 5):
+        val = objective([cands[i] for cands in per_k])
+        if val < best:
+            best, choice = val, [i] * n
+    for _ in range(2 if n > 1 else 0):
+        improved = False
+        for k in range(n):
+            for i in range(5):
+                if i == choice[k]:
+                    continue
+                trial = list(choice)
+                trial[k] = i
+                val = objective([per_k[j][c] for j, c in enumerate(trial)])
+                if val < best - 1e-15:
+                    best, choice, improved = val, trial, True
+        if not improved:
+            break
+    decomposition = [per_k[k][i] for k, i in enumerate(choice)]
+    for k in range(n):
+        a0, b0 = decomposition[k]
+        for alt in per_k[k][:2]:
+            for t in (0.25, 0.5, 0.75):
+                trial = list(decomposition)
+                trial[k] = ((1 - t) * a0 + t * alt[0], (1 - t) * b0 + t * alt[1])
+                val = objective(trial)
+                if val < best - 1e-15:
+                    best, decomposition = val, trial
+    return best, decomposition
+
+
+@pytest.mark.parametrize("tower_name", ["tensor222", "tensor23", "abelian3", "custom4", "weighted2"])
+def test_mixed_upper_phases_match_one_trial_at_a_time(request, tower_name):
+    """Stacked phases make the sequential search's decisions, bit for bit."""
+    tower = request.getfixturevalue(tower_name)
+    for seed in range(16):
+        m = random_martingale(tower, "gaussian", trial_rng(seed, 0, 0))
+        for p in (0.5, 1.0, 1.5):
+            bound, decomp = mg.hardy_mixed_upper(m, p)
+            want, want_decomp = _mixed_upper_one_trial_at_a_time(m, p)
+            assert bound == want
+            for got, expect in zip(decomp, want_decomp, strict=True):
+                assert all(np.array_equal(x, y) for x, y in zip(got, expect, strict=True))
 
 
 def test_mixed_upper_builds_no_step_function(tensor222, monkeypatch):
@@ -246,38 +349,23 @@ def test_mixed_upper_builds_no_step_function(tensor222, monkeypatch):
     assert math.isfinite(bound) and bound > 0
 
 
-def _counting_eigh(monkeypatch, fail_below=None):
-    """Count ``np.linalg.eigh`` calls; raise ``LinAlgError`` inside ``fail_below``."""
-    calls = []
-    eigh = np.linalg.eigh
-
-    def wrapper(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        frame = sys._getframe(1)
-        while fail_below is not None and frame is not None:
-            if frame.f_code.co_name == fail_below:
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            frame = frame.f_back
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", wrapper)
-    return calls
-
-
 def test_mixed_upper_factorizes_each_side_once(tensor222, monkeypatch):
-    """Two eigh calls per level for the splits, then one per side per candidate."""
+    """Two eigh calls per level for the splits, then one eigenvalue stack
+    holding both sides of the five uniform candidates."""
     m = random_martingale(tensor222, "gaussian", trial_rng(3, 0, 0))
-    calls = _counting_eigh(monkeypatch)
+    calls = _counting_solvers(monkeypatch)
     mg.hardy_mixed_upper(m, 1.0, refine=False)
     n, uniform_candidates = len(m), 5
-    assert len(calls) == 2 * n + 2 * uniform_candidates == 16
+    assert calls == [("eigh", (8, 8))] * (2 * n) + [("eigvalsh", (2 * uniform_candidates, 8, 8))]
 
 
 def test_mixed_upper_eigensolver_failure_is_numerical(tensor222, monkeypatch):
+    """A failure of the stacked eigenvalue call is numerical, and a trial error."""
     m = random_martingale(tensor222, "gaussian", trial_rng(3, 0, 0))
-    _counting_eigh(monkeypatch, fail_below="_gram_lp_norm")
+    calls = _counting_solvers(monkeypatch, fail_below="_gram_lp_norms")
     with pytest.raises(ArithmeticError, match="eigensolver failed on operator sha256:"):
         mg.hardy_mixed_upper(m, 1.0)
+    assert calls[-1] == ("eigvalsh", (10, 8, 8))
     cfg = ExperimentConfig("h1-to-bmo", FiltrationSpec.tensor([2, 2]), trials=2, seed=5)
     report = run_ratio_experiment(cfg)
     assert [f["check"] for f in report.failures] == ["trial_error", "trial_error"]
@@ -287,7 +375,7 @@ def test_split_candidates_eigensolver_failure_is_numerical(tensor222, monkeypatc
     """The polar-support factorization fails as a numerical error."""
     m = random_martingale(tensor222, "gaussian", trial_rng(3, 0, 0))
     monkeypatch.setattr(mg, "_sqrt_psd", lambda g: g)
-    calls = _counting_eigh(monkeypatch, fail_below="_split_candidates")
+    calls = _counting_solvers(monkeypatch, fail_below="_split_candidates")
     with pytest.raises(ArithmeticError, match="eigensolver failed on operator sha256:"):
         mg._split_candidates(tensor222, 2, m.differences[1])
     assert len(calls) == 1
@@ -297,7 +385,7 @@ def test_split_candidates_eigensolver_failure_is_numerical(tensor222, monkeypatc
 def test_square_root_eigensolver_failure_is_trial_error(experiment, trial_errors, monkeypatch):
     """An eigensolver failure in a trial is recorded; ``one`` runs a single
     trial, so the extremal family outside it keeps a working eigensolver."""
-    _counting_eigh(monkeypatch, fail_below="one")
+    _counting_solvers(monkeypatch, fail_below="one")
     cfg = ExperimentConfig(experiment, FiltrationSpec.tensor([2, 2]), trials=2, seed=5,
                            extremal_n_max=2)
     report = run_ratio_experiment(cfg)
@@ -326,6 +414,25 @@ def test_hd_norm_single_difference(tensor222, rng):
     for p in (0.5, 1.0, 3.0):
         expect = lp_norm(singular_value_function(tensor222, dx), p)
         assert mg.hd_norm(m, p) == pytest.approx(expect, rel=1e-10)
+
+
+def test_hd_norm_infinity_is_the_largest_level_norm(tensor22):
+    m = random_martingale(tensor22, "gaussian", trial_rng(3, 0, 0))
+    for scale in (0.01, 1.0):
+        scaled = m.scaled([scale] * len(m))
+        expect = max(operator_norm(dx) for dx in scaled.differences)
+        assert mg.hd_norm(scaled, math.inf) == pytest.approx(expect, rel=1e-12)
+
+
+def test_hd_norm_large_exponent_does_not_overflow(tensor22):
+    """At p = 800 the level norms' p-th powers overflow a float."""
+    m = random_martingale(tensor22, "gaussian", trial_rng(3, 0, 0))
+    p = 800.0
+    norms = np.array([lp_norm(singular_value_function(tensor22, dx), p) for dx in m.differences])
+    top = norms.max()
+    assert p * math.log(top) > math.log(sys.float_info.max)
+    expect = top * np.sum((norms / top) ** p) ** (1.0 / p)
+    assert mg.hd_norm(m, p) == pytest.approx(expect, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ncmart.spectral import (
     MERGE_TOL,
     SingularValueFunction,
+    _eigvalsh,
     distribution,
     lorentz_norm,
     lp_norm,
@@ -219,6 +220,20 @@ def test_lorentz_quadrature_oracle(tensor222, rng):
 def test_lorentz_qinf_is_weak():
     s = SingularValueFunction(np.array([3.0, 1.0]), np.array([0.25, 1.0]))
     assert lorentz_norm(s, 2.0, math.inf) == weak_norm(s, 2.0)
+
+
+def test_eigvalsh_failure_is_numerical(monkeypatch):
+    """A failed stacked eigenvalue call names its operator, as ``_eigh`` does."""
+    stack = np.stack([np.diag([1.0, 2.0]).astype(complex)] * 3)
+    assert np.array_equal(_eigvalsh(stack, stack), np.tile([1.0, 2.0], (3, 1)))
+
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(ArithmeticError, match="eigensolver failed on operator sha256:") as info:
+        _eigvalsh(stack, stack)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_large_exponent_log_space():
