@@ -197,13 +197,14 @@ def _gram_lp_norms(tower, grams, p):
     the sum only by rounding.  On a uniform trace every unit vector has
     weight ``weights[0]``, so one ``eigvalsh`` call serves the whole stack;
     otherwise each sum's weights come from the eigenvectors of its ``eigh``.
+    A failed solver names the Hermitian part of the sum it failed on.
     """
     if grams.ndim == 3 and not tower.uniform_trace:
-        return np.array([_root_power_sum(*_root_spectrum(tower, g, g), p, p) for g in grams])
-    roots = np.sqrt(np.clip(grams.real if grams.ndim == 2 else _eigvalsh(grams, grams), 0.0, None))
-    if np.max(roots, initial=0.0) ** p < 1e300:
-        return np.sum(tower.weights * roots**p, axis=-1) ** (1.0 / p)
-    return np.array([_root_power_sum(v, tower.weights, p, p) for v in roots])
+        spectra = [_root_spectrum(tower, g, g) for g in grams]
+    else:
+        eigvals = grams.real if grams.ndim == 2 else _eigvalsh(grams, grams)
+        spectra = [(np.sqrt(np.clip(v, 0.0, None)), tower.weights) for v in eigvals]
+    return np.array([_root_power_sum(v, w, p, p) for v, w in spectra])
 
 
 def hardy_mixed_upper(m: MartingaleSequence, p, refine=True):
@@ -228,24 +229,33 @@ def hardy_mixed_upper(m: MartingaleSequence, p, refine=True):
     whose power sums are the norms (``_gram_lp_norms``; on a non-uniform
     trace, an ``eigh`` of each sum gives the trace weights).  No singular
     value function is built, and the bound agrees with
-    ``hardy_column_norm(y, p) + hardy_row_norm(z, p)`` up to rounding.  With
-    two worker threads, numpy 2.4.6 overlapped ``eigvalsh`` on stacks of
-    eight 64x64 matrices but not on single ones, so the stacks also serve
-    parallel trials.
+    ``hardy_column_norm(y, p) + hardy_row_norm(z, p)`` up to rounding.
+    Stacked calls also let worker threads overlap where single-matrix calls
+    do not.
     """
     if not 0 < p < 2:
         raise ValueError("hardy_mixed_upper requires 0 < p < 2")
     tower = m.tower
-    per_k = [_split_candidates(tower, k + 1, dx) for k, dx in enumerate(m.differences)]
-    grams = [[_gram_pair(a, b) for a, b in cands] for cands in per_k]
+    # Of each candidate split only the column part is kept; the row part is
+    # ``dx - a`` again when the split is needed.
+    grams, columns = [], []
+    for k, dx in enumerate(m.differences):
+        cands = _split_candidates(tower, k + 1, dx)
+        grams.append([_gram_pair(a, b) for a, b in cands])
+        columns.append([a for a, _ in cands])
 
-    # One stack serves every phase of the call: a fresh stack per phase kept
-    # about 1 MB more resident on the mixed-hardy benchmark (two threads).
-    phase_max = max(len(per_k[0]), 2 * len(INTERPOLATION_STEPS))
-    stack = np.empty((2 * phase_max, tower.dim, tower.dim), dtype=complex)
+    def split(k, i):
+        a = columns[k][i]
+        return a, m.differences[k] - a
+
+    # One stack, made at the first dense sum, serves every phase of the call:
+    # a fresh stack per phase kept about 1 MB more resident on the mixed-hardy
+    # benchmark (two threads).
+    stack = None
 
     def evaluate(count, trials):
         """Objectives of ``count`` trials, each a list of per-level Gram pairs."""
+        nonlocal stack
         norms = np.empty(2 * count)
         dense, diagonal = [], []
         for j, pairs in enumerate(trials):
@@ -256,6 +266,9 @@ def hardy_mixed_upper(m: MartingaleSequence, p, refine=True):
                 if g.ndim == 1:
                     diagonal.append((2 * j + side, g))
                     continue
+                if stack is None:
+                    phase_max = max(len(grams[0]), 2 * len(INTERPOLATION_STEPS))
+                    stack = np.empty((2 * phase_max, tower.dim, tower.dim), dtype=complex)
                 h = stack[len(dense)]
                 np.add(g, g.conj().T, out=h)
                 h *= 0.5
@@ -277,7 +290,7 @@ def hardy_mixed_upper(m: MartingaleSequence, p, refine=True):
         return [memo[c] for c in choices]
 
     n = len(m)
-    uniform = [(i,) * n for i in range(len(per_k[0]))]
+    uniform = [(i,) * n for i in range(len(grams[0]))]
     vals = values(uniform)
     best_choice, best = uniform[0], vals[0]
     for choice, val in zip(uniform[1:], vals[1:]):
@@ -289,20 +302,20 @@ def hardy_mixed_upper(m: MartingaleSequence, p, refine=True):
             for k in range(n):
                 # an accepted index lies behind the loop, so only the
                 # phase's starting index is ever skipped as current
-                others = [i for i in range(len(per_k[k])) if i != best_choice[k]]
+                others = [i for i in range(len(grams[k])) if i != best_choice[k]]
                 trials = [best_choice[:k] + (i,) + best_choice[k + 1 :] for i in others]
                 for trial, val in zip(trials, values(trials)):
                     if val < best - 1e-15:
                         best, best_choice, improved = val, trial, True
             if not improved:
                 break
-    decomposition = [per_k[k][i] for k, i in enumerate(best_choice)]
+    decomposition = [split(k, i) for k, i in enumerate(best_choice)]
     if refine:
         # convex interpolation between the chosen split and the pure splits
         current = [grams[k][i] for k, i in enumerate(best_choice)]
         for k in range(n):
             base = decomposition[k]
-            moves = [(per_k[k][j], t) for j in (0, 1) for t in INTERPOLATION_STEPS]
+            moves = [(alt, t) for alt in (split(k, 0), split(k, 1)) for t in INTERPOLATION_STEPS]
             trials = (current[:k] + [_gram_pair(*_interpolate(base, *mv))] + current[k + 1 :]
                       for mv in moves)
             accepted = None

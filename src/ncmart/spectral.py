@@ -157,11 +157,18 @@ def _eigh(h, x):
 
 
 def _eigvalsh(h, x):
-    """``np.linalg.eigvalsh`` of a Hermitian ``h``, or of a stack of them,
-    formed from ``x``; a failure raises ``ArithmeticError`` as in ``_eigh``."""
+    """``np.linalg.eigvalsh`` of a Hermitian ``h`` formed from ``x``, or of a
+    stack of them formed from a stack ``x``.
+
+    A failure raises ``ArithmeticError`` as in ``_eigh``; on a stack, the
+    matrices are retried one by one so that the digest names the ``x`` of
+    the first one that fails.
+    """
     try:
         return np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
+        for hi, xi in zip(h if h.ndim > 2 else (), x):
+            _eigvalsh(hi, xi)
         raise _solver_failure(x) from exc
 
 

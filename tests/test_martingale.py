@@ -360,12 +360,13 @@ def test_mixed_upper_factorizes_each_side_once(tensor222, monkeypatch):
 
 
 def test_mixed_upper_eigensolver_failure_is_numerical(tensor222, monkeypatch):
-    """A failure of the stacked eigenvalue call is numerical, and a trial error."""
+    """A failure of the stacked eigenvalue call is numerical, and a trial error;
+    the stack's first matrix is then retried alone and named."""
     m = random_martingale(tensor222, "gaussian", trial_rng(3, 0, 0))
     calls = _counting_solvers(monkeypatch, fail_below="_gram_lp_norms")
     with pytest.raises(ArithmeticError, match="eigensolver failed on operator sha256:"):
         mg.hardy_mixed_upper(m, 1.0)
-    assert calls[-1] == ("eigvalsh", (10, 8, 8))
+    assert calls[-2:] == [("eigvalsh", (10, 8, 8)), ("eigvalsh", (8, 8))]
     cfg = ExperimentConfig("h1-to-bmo", FiltrationSpec.tensor([2, 2]), trials=2, seed=5)
     report = run_ratio_experiment(cfg)
     assert [f["check"] for f in report.failures] == ["trial_error", "trial_error"]

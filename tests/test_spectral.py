@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -234,6 +235,28 @@ def test_eigvalsh_failure_is_numerical(monkeypatch):
     with pytest.raises(ArithmeticError, match="eigensolver failed on operator sha256:") as info:
         _eigvalsh(stack, stack)
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+def test_eigvalsh_failure_names_the_failing_matrix_of_a_stack(monkeypatch):
+    """A stack that fails is retried matrix by matrix; the digest is that of
+    the first failing matrix's operator, as a single call on it would give."""
+    stack = np.stack([np.diag([1.0, k]).astype(complex) for k in (2.0, 3.0, 4.0)])
+    operators = 10 * stack
+    solver = np.linalg.eigvalsh
+
+    def fail_on_three(a):
+        if np.any(a == 3.0):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return solver(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail_on_three)
+    with pytest.raises(ArithmeticError) as from_stack:
+        _eigvalsh(stack, operators)
+    with pytest.raises(ArithmeticError) as from_one:
+        _eigvalsh(stack[1], operators[1])
+    digest = hashlib.sha256(np.ascontiguousarray(operators[1])).hexdigest()[:16]
+    assert str(from_stack.value) == str(from_one.value) == f"eigensolver failed on operator sha256:{digest}"
+    assert isinstance(from_stack.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_large_exponent_log_space():
