@@ -92,6 +92,8 @@ class FiltrationSpec:
 
     @staticmethod
     def from_json(obj) -> "FiltrationSpec":
+        if not isinstance(obj, dict):
+            raise TowerError(f"tower in config must be an object, got {obj!r}")
         kind = obj.get("kind")
         if kind == "tensor":
             return FiltrationSpec.tensor(obj["dims"])
@@ -136,9 +138,17 @@ def operator_to_json(x) -> dict:
 
 
 def operator_from_json(obj) -> np.ndarray:
-    d = int(obj["dim"])
-    re = np.asarray(obj["re"], dtype=float).reshape(d, d)
-    im = np.asarray(obj["im"], dtype=float).reshape(d, d)
+    """The operator of an ``operator_to_json`` object; ``TowerError`` on any other input."""
+    if not isinstance(obj, dict):
+        raise TowerError("operator JSON must be an object")
+    d = obj.get("dim")
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise TowerError(f"operator dim must be an integer, got {d!r}")
+    try:
+        re = np.asarray(obj["re"], dtype=float).reshape(d, d)
+        im = np.asarray(obj["im"], dtype=float).reshape(d, d)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TowerError(f"operator entries do not form a {d}x{d} matrix: {exc}") from exc
     if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
         raise TowerError("operator has a NaN or infinite entry")
     return re + 1j * im
@@ -148,11 +158,11 @@ def operator_from_json(obj) -> np.ndarray:
 # small orthonormalization helpers
 
 
-def gram_schmidt(vectors, inner, drop_tol=DEPENDENCE_TOL):
+def gram_schmidt(vectors, inner):
     """Orthonormalize ``vectors`` under ``inner``; drop dependent ones.
 
     Two re-orthogonalization passes keep the result stable; a vector whose
-    residual norm falls below ``drop_tol`` is treated as dependent.
+    residual norm falls below ``DEPENDENCE_TOL`` is treated as dependent.
     """
     basis = []
     for v in vectors:
@@ -161,7 +171,7 @@ def gram_schmidt(vectors, inner, drop_tol=DEPENDENCE_TOL):
             for b in basis:
                 v = v - inner(v, b) * b
         nrm = math.sqrt(max(inner(v, v).real, 0.0))
-        if nrm < drop_tol:
+        if nrm < DEPENDENCE_TOL:
             continue
         basis.append(v / nrm)
     return basis
@@ -439,8 +449,9 @@ class Tower:
 
     # -- misc ---------------------------------------------------------------
 
-    def random_element(self, rng, level=None, difference=None):
-        """Standard complex-Gaussian element, optionally projected."""
+    def random_element(self, rng, difference=None):
+        """Standard complex-Gaussian element, projected onto ``D_difference`` if
+        given; ``conditional_expectation(n, ...)`` of it lies in level ``n``."""
         if self.spec.kind == "abelian_dyadic":
             g = rng.standard_normal(self.dim) + 0j
         else:
@@ -449,8 +460,6 @@ class Tower:
             )
         if difference is not None:
             return self.project_difference(difference, g)
-        if level is not None:
-            return self.conditional_expectation(level, g)
         return g
 
     def _dense(self, x):

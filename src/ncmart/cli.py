@@ -85,6 +85,8 @@ def _cmd_verify(args) -> int:
                 obj = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise ConfigError(f"config {args.config!r} is not a JSON object")
         obj.setdefault("experiment", args.experiment)
         obj["seed"] = args.seed
         if args.tower:
@@ -135,7 +137,7 @@ def _cmd_norms(args) -> int:
     try:
         with open(args.operator) as fh:
             x = operator_from_json(json.load(fh))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError and TowerError are ValueErrors
         raise ConfigError(f"cannot read operator {args.operator!r}: {exc}") from exc
     if x.shape[0] != tower.dim:
         raise ConfigError(f"operator dimension {x.shape[0]} does not match tower dimension {tower.dim}")
@@ -178,8 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tower_required=True):
-        p.add_argument("--tower", required=tower_required,
+    def common(p):
+        p.add_argument("--tower", required=True,
                        help="tower spec, e.g. tensor:2,2,2 or abelian:4")
         p.add_argument("--out", default=None, help="output file (default stdout)")
 

@@ -31,6 +31,8 @@ __all__ = [
 # Full alternating maximization runs only from the most promising basis
 # starts; the remaining basis elements still enter as evaluated candidates.
 BASIS_START_CAP = 64
+# Iteration cap of each alternating maximization path.
+MAX_ALTERNATING_STEPS = 500
 
 
 @dataclass(frozen=True)
@@ -83,11 +85,13 @@ def _top_singular_pairs(xs):
     return s[:, 0], u[:, :, 0], vh[:, 0, :].conj()
 
 
-def _alternating_max(basis_flat, d, starts, tol, max_iter=500):
+def _alternating_max(basis_flat, d, starts, tol):
     """Maximize the top singular value over the unit coefficient sphere.
 
     ``basis_flat`` is the (m, d*d) flattened trace-orthonormal basis of the
     subspace; ``starts`` is an (s, m) array of unit coefficient vectors.
+    A path stops when its objective gains less than the relative ``tol``,
+    or after ``MAX_ALTERNATING_STEPS`` steps.
     Returns per-start objectives and the best coefficient vector.  The
     objective is nondecreasing along each iteration path by construction;
     this is asserted up to roundoff.
@@ -96,7 +100,7 @@ def _alternating_max(basis_flat, d, starts, tol, max_iter=500):
     n_start = c.shape[0]
     obj = np.zeros(n_start)
     active = np.ones(n_start, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(MAX_ALTERNATING_STEPS):
         idx = np.where(active)[0]
         if idx.size == 0:
             break
@@ -179,12 +183,13 @@ def _closed_form(tower: Tower):
     return None, None
 
 
-def zeta_sequence(tower: Tower, method="auto", values=None, restarts=32, tol=1e-10, seed=0):
-    """Coefficient sequence for the tower: closed form, optimized, or given."""
-    if method == "user":
-        if values is None:
-            raise ValueError("user method needs values")
-        return CoefficientSequence(tuple(values), "user")
+def zeta_sequence(tower: Tower, method="auto", restarts=32, tol=1e-10, seed=0):
+    """Coefficient sequence for the tower.
+
+    ``method`` is ``"auto"`` (the closed form on tensor and abelian towers,
+    else the optimizer) or ``"optimize"`` (``zeta_optimize`` at every level).
+    A sequence of given values is ``CoefficientSequence(values, "user")``.
+    """
     if method == "auto":
         closed, provenance = _closed_form(tower)
         if closed is not None:

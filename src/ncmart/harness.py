@@ -96,7 +96,7 @@ class ExperimentConfig:
                 pq_pairs=tuple((float(p), float(q)) for p, q in obj.get("pq_pairs", ())),
                 levels=tuple(int(k) for k in obj.get("levels", ())),
                 extremal_n_max=int(obj.get("extremal_n_max", 12)),
-                profile=obj.get("profile", "positive_l1"),
+                profile=str(obj.get("profile", "positive_l1")),
                 coeffs=obj.get("coeffs", "auto"),
             )
         except (KeyError, TypeError, ValueError, TowerError) as exc:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +41,10 @@ PROJECTION_TOL = 1e-8
 DIFFERENCE_TOL = 1e-9
 # Weights t of the mixed-Hardy refinement's splits (1 - t) * best + t * pure.
 INTERPOLATION_STEPS = (0.25, 0.5, 0.75)
+# Relative eigenvalue gap above which two spectral clusters are kept apart.
+CLUSTER_GAP = 1e-10
+# Random level projections drawn per level by lipschitz_column_lower.
+RANDOM_PROJECTIONS = 16
 
 
 def _adjoint(x):
@@ -113,11 +117,9 @@ class MartingaleSequence:
         return MartingaleSequence(self.tower, factors[: len(d)].reshape(shape) * d)
 
 
-def adapt(tower: Tower, x, n_levels=None) -> MartingaleSequence:
-    """Canonical martingale of ``x``: differences ``E_k(x) - E_{k-1}(x)``."""
-    n = tower.n_levels if n_levels is None else n_levels
-    if n < 1:
-        raise TowerError(f"adapt needs at least one level, got {n}")
+def adapt(tower: Tower, x) -> MartingaleSequence:
+    """Canonical martingale of ``x``: differences ``E_k(x) - E_{k-1}(x)``, ``k = 1..n_levels``."""
+    n = tower.n_levels
     x = tower._check(x)
     levels = [np.zeros_like(x)] + [tower.conditional_expectation(k, x) for k in range(1, n + 1)]
     return MartingaleSequence(tower, np.diff(levels, axis=0))
@@ -127,18 +129,20 @@ def adapt(tower: Tower, x, n_levels=None) -> MartingaleSequence:
 # square functions and Hardy norms
 
 
-def column_square_function(m: MartingaleSequence, n=None):
-    """``S_{c,n} = (sum_{k<=n} dx_k^* dx_k)^{1/2}``."""
-    n = len(m) if n is None else n
-    if not 1 <= n <= len(m):
-        raise TowerError(f"square function index {n} out of range")
-    d = m.differences[:n]
+def column_square_function(m: MartingaleSequence):
+    """``S_c = (sum_k dx_k^* dx_k)^{1/2}`` over all differences of ``m``.
+
+    ``S_{c,n}`` is the square function of the first ``n`` differences:
+    ``column_square_function(MartingaleSequence(m.tower, m.differences[:n]))``.
+    """
+    d = m.differences
     grams = np.abs(d) ** 2 if d.ndim == 2 else d.conj().swapaxes(1, 2) @ d
     return _sqrt_psd(grams.sum(axis=0))
 
 
-def row_square_function(m: MartingaleSequence, n=None):
-    return column_square_function(m.adjoint(), n)
+def row_square_function(m: MartingaleSequence):
+    """``S_r = (sum_k dx_k dx_k^*)^{1/2}``: the column square function of ``m^*``."""
+    return column_square_function(m.adjoint())
 
 
 def hardy_column_norm(m: MartingaleSequence, p) -> float:
@@ -208,7 +212,7 @@ def _gram_lp_norms(tower, grams, p):
 
 
 def hardy_mixed_upper(m: MartingaleSequence, p, refine=True):
-    """Certified upper bound on the mixed Hardy norm for ``0 < p < 2``.
+    """Certified upper bound on the mixed Hardy norm for ``1 <= p < 2``.
 
     Minimizes ``||y||_{H^c_p} + ||z||_{H^r_p}`` over a finite family of
     decompositions ``dx_k = a_k + b_k`` (column/row, triangular and
@@ -233,8 +237,8 @@ def hardy_mixed_upper(m: MartingaleSequence, p, refine=True):
     Stacked calls also let worker threads overlap where single-matrix calls
     do not.
     """
-    if not 0 < p < 2:
-        raise ValueError("hardy_mixed_upper requires 0 < p < 2")
+    if not 1 <= p < 2:
+        raise ValueError("hardy_mixed_upper requires 1 <= p < 2")
     tower = m.tower
     # Of each candidate split only the column part is kept; the row part is
     # ``dx - a`` again when the split is needed.
@@ -359,17 +363,18 @@ def bmo_norm(m: MartingaleSequence) -> float:
 # Lipschitz lower bounds
 
 
-def _cluster_prefix_projections(h, tol=1e-10):
+def _cluster_prefix_projections(h):
     """Prefix unions of the spectral subspaces of a Hermitian ``h``.
 
-    Eigenvalue clusters are kept whole so each projection stays inside any
+    Eigenvalues closer than ``CLUSTER_GAP`` (relative) form one cluster, and
+    clusters are kept whole so each projection stays inside any
     *-subalgebra containing ``h``.
     """
     vals, vecs = _eigh(h, h)
     vals, vecs = vals[::-1], vecs[:, ::-1]
     cuts = [0]
     for i in range(1, vals.size):
-        if vals[i - 1] - vals[i] > tol * max(1.0, abs(vals[0])):
+        if vals[i - 1] - vals[i] > CLUSTER_GAP * max(1.0, abs(vals[0])):
             cuts.append(i)
     cuts.append(vals.size)
     out = []
@@ -410,32 +415,32 @@ def _abelian_subset_projections(tower, n, y):
     return out
 
 
-def lipschitz_column_lower(m: MartingaleSequence, beta, strategy="auto", n_random=16, seed=0):
+def lipschitz_column_lower(m: MartingaleSequence, beta):
     """Certified lower bound on the column Lipschitz norm of order ``beta``.
 
     Takes the max of ``||E_1(x)||_inf`` and ``||(x - E_n x) e||_2 /
-    tau(e)^(beta + 1/2)`` over a candidate family of projections ``e`` in
-    each level: spectral prefixes of ``E_n((x - E_n x)^*(x - E_n x))``,
-    atom unions on abelian towers, and random level projections.
+    tau(e)^(beta + 1/2)`` over a fixed candidate family of projections ``e``
+    in each level: spectral prefixes of ``E_n((x - E_n x)^*(x - E_n x))``,
+    unions of diagonal level atoms on tensor and abelian towers, and
+    ``RANDOM_PROJECTIONS`` random level projections drawn from one generator
+    seeded 0.  Every candidate gives a lower bound, so a smaller family only
+    gives a weaker one.
     """
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     tower = m.tower
     x = m.final
     best = operator_norm(tower.conditional_expectation(1, x))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     for n in range(1, tower.n_levels + 1):
         y = x - tower.conditional_expectation(n, x)
         if tower.norm2(y) < 1e-14:
             continue
-        cands = []
-        if strategy in ("auto", "spectral"):
-            h = tower._dense(tower.conditional_expectation(n, _abs_squared(y)))
-            cands += _cluster_prefix_projections((h + h.conj().T) / 2)
-        if strategy in ("auto", "exhaustive") and tower.spec.kind in ("abelian_dyadic", "tensor"):
+        h = tower._dense(tower.conditional_expectation(n, _abs_squared(y)))
+        cands = _cluster_prefix_projections((h + h.conj().T) / 2)
+        if tower.spec.kind in ("abelian_dyadic", "tensor"):
             cands += _abelian_subset_projections(tower, n, y)
-        if strategy in ("auto", "random"):
-            cands += _random_level_projections(tower, n, rng, n_random)
+        cands += _random_level_projections(tower, n, rng, RANDOM_PROJECTIONS)
         yd = tower._dense(y)
         for e in cands:
             te = tower.trace(e).real
@@ -454,10 +459,6 @@ def lipschitz_column_lower(m: MartingaleSequence, beta, strategy="auto", n_rando
 class AtomCertificate:
     """Residuals of the three column-atom conditions at a given level."""
 
-    level: int
-    projection: np.ndarray = field(repr=False)
-    p: float
-    side: str
     mean_zero_residual: float
     support_residual: float
     l2_slack: float
@@ -471,18 +472,6 @@ class AtomCertificate:
             and self.l2_slack >= -1e-8
         )
 
-    def to_json(self):
-        return {
-            "level": self.level,
-            "p": self.p,
-            "side": self.side,
-            "mean_zero_residual": self.mean_zero_residual,
-            "support_residual": self.support_residual,
-            "l2_slack": self.l2_slack,
-            "degenerate": self.degenerate,
-            "valid": self.valid,
-        }
-
 
 def _check_projection_in_level(tower, n, e):
     e = tower._dense(tower._check(e))
@@ -495,24 +484,19 @@ def _check_projection_in_level(tower, n, e):
     return e
 
 
-def validate_atom(tower: Tower, a, n, e, p, side="column") -> AtomCertificate:
-    """Certificate for the three ``(p,2)``-atom conditions of ``a``."""
+def validate_atom(tower: Tower, a, n, e, p) -> AtomCertificate:
+    """Certificate for the column ``(p,2)``-atom conditions of ``a``: ``E_n a = 0``,
+    ``a e = a`` and ``||a||_2 <= tau(e)^(1/2 - 1/p)``.  A row atom ``b``
+    (``e b = b``) is checked as the column atom ``b^*``, exactly."""
     if not 0 < p < 2:
         raise ValueError("atom exponent must satisfy 0 < p < 2")
-    if side not in ("column", "row"):
-        raise ValueError("side must be 'column' or 'row'")
     e = _check_projection_in_level(tower, n, e)
     a = tower._dense(tower._check(a))
     mean_zero = tower.norm2(tower.conditional_expectation(n, a))
-    supported = a @ e if side == "column" else e @ a
-    support = tower.norm2(supported - a)
+    support = tower.norm2(a @ e - a)
     l2 = tower.norm2(a)
     slack = tower.trace(e).real ** (0.5 - 1.0 / p) - l2
     return AtomCertificate(
-        level=n,
-        projection=e,
-        p=float(p),
-        side=side,
         mean_zero_residual=mean_zero,
         support_residual=support,
         l2_slack=slack,
@@ -520,18 +504,19 @@ def validate_atom(tower: Tower, a, n, e, p, side="column") -> AtomCertificate:
     )
 
 
-def make_atom(tower: Tower, rng, n, e, deep_level, p, side="column"):
-    """Construct an exact ``(p,2)`` atom: a deep difference cut by ``e``.
+def make_atom(tower: Tower, rng, n, e, deep_level, p):
+    """Construct an exact column ``(p,2)`` atom: a deep difference cut by ``e``.
 
     Draws ``v`` in ``D_m`` for ``m = deep_level > n``, supports it on ``e``
-    and normalizes to equality in the L2 size condition.
+    and normalizes to equality in the L2 size condition.  The adjoint of the
+    result is a row atom on the same ``e``.
     """
     if deep_level <= n:
         raise TowerError("atom generator needs deep_level > n")
     e = _check_projection_in_level(tower, n, e)
     for _ in range(8):
         v = tower._dense(tower.random_element(rng, difference=deep_level))
-        a = v @ e if side == "column" else e @ v
+        a = v @ e
         nrm = tower.norm2(a)
         if nrm > 1e-12:
             break
@@ -541,17 +526,19 @@ def make_atom(tower: Tower, rng, n, e, deep_level, p, side="column"):
     return a * (target / nrm)
 
 
-def atom_constant(tower: Tower, a, n, e, p, q, coeffs, side="column") -> float:
-    """Minimal ``C`` making ``C^{-1} (transformed a)`` a ``(q,2)`` atom.
+def atom_constant(tower: Tower, a, n, e, p, q, coeffs) -> float:
+    """Minimal ``C`` making ``C^{-1} (transformed a)`` a column ``(q,2)`` atom.
 
     Applies the coefficient transform of order ``1/p - 1/q`` and rescales
     against the same support projection; the mean-zero and support
-    conditions are re-verified (they are preserved exactly).
+    conditions are re-verified (they are preserved exactly).  The transform
+    commutes with the adjoint, so a row atom ``b`` has the constant of the
+    column atom ``b^*``.
     """
     gamma = 1.0 / p - 1.0 / q
     if gamma <= 0:
         raise ValueError("atom mapping requires p < q")
-    cert = validate_atom(tower, a, n, e, p, side)
+    cert = validate_atom(tower, a, n, e, p)
     if not cert.valid:
         raise TowerError("input is not a valid atom")
     if cert.degenerate:
@@ -560,7 +547,7 @@ def atom_constant(tower: Tower, a, n, e, p, q, coeffs, side="column") -> float:
 
     out = iterated_transform(adapt(tower, a), gamma, coeffs)
     y = out.final
-    post = validate_atom(tower, y / max(tower.norm2(y), 1e-300), n, e, min(q, 1.999), side)
+    post = validate_atom(tower, y / max(tower.norm2(y), 1e-300), n, e, min(q, 1.999))
     if post.mean_zero_residual > DIFFERENCE_TOL or post.support_residual > DIFFERENCE_TOL:
         raise ArithmeticError("transform did not preserve atom structure")
     return tower.norm2(y) / tower.trace(e).real ** (0.5 - 1.0 / q)

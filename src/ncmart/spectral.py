@@ -60,14 +60,6 @@ class SingularValueFunction:
         j = int(np.searchsorted(self.cums, t, side="right"))
         return float(self.values[j]) if j < self.values.size else 0.0
 
-    def to_json(self):
-        return [[float(v), float(c)] for v, c in zip(self.values, self.cums)]
-
-    @staticmethod
-    def from_json(obj):
-        arr = np.asarray(obj, dtype=float)
-        return SingularValueFunction(arr[:, 0], arr[:, 1])
-
     @staticmethod
     def from_spectrum(values, weights):
         """Merge weighted spectrum samples into a step function.

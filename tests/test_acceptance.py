@@ -141,7 +141,7 @@ def test_criterion_4_structural_properties(tensor222, abelian3, custom4, rng):
             en = t.conditional_expectation(n, x)
             worst = max(worst, t.norm2(t.conditional_expectation(n, en) - en))
             worst = max(worst, abs(t.trace(en) - t.trace(x)))
-            a = t._dense(t.random_element(rng, level=n))
+            a = t._dense(t.conditional_expectation(n, t.random_element(rng)))
             worst = max(
                 worst,
                 t.norm2(t.conditional_expectation(n, a @ x) - a @ en),

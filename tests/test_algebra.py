@@ -124,8 +124,8 @@ def test_expectation_bimodule(any_tower, rng):
     t = any_tower
     x = rng.standard_normal((t.dim, t.dim)) + 1j * rng.standard_normal((t.dim, t.dim))
     for n in range(1, t.n_levels + 1):
-        a = t._dense(t.random_element(rng, level=n))
-        b = t._dense(t.random_element(rng, level=n))
+        a = t._dense(t.conditional_expectation(n, t.random_element(rng)))
+        b = t._dense(t.conditional_expectation(n, t.random_element(rng)))
         lhs = t.conditional_expectation(n, a @ x @ b)
         rhs = a @ t.conditional_expectation(n, x) @ b
         assert t.norm2(lhs - rhs) < 1e-8
@@ -134,7 +134,7 @@ def test_expectation_bimodule(any_tower, rng):
 def test_expectation_fixes_level(any_tower, rng):
     t = any_tower
     for n in range(1, t.n_levels + 1):
-        a = t._dense(t.random_element(rng, level=n))
+        a = t._dense(t.conditional_expectation(n, t.random_element(rng)))
         assert t.norm2(t.conditional_expectation(n, a) - a) < 1e-10
 
 

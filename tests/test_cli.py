@@ -76,14 +76,15 @@ def test_verify_needs_tower_or_config():
     assert main(["verify", "--experiment", "weak-type", "--seed", "1"]) == 2
 
 
-def test_verify_malformed_config(tmp_path):
+def test_verify_malformed_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text("{not json")
-    code = main(["verify", "--experiment", "weak-type", "--config", str(cfg), "--seed", "1"])
-    assert code == 2
-    cfg.write_text(json.dumps({"tower": {"kind": "spiral"}}))
-    code = main(["verify", "--experiment", "weak-type", "--config", str(cfg), "--seed", "1"])
-    assert code == 2
+    for text in ("{not json", json.dumps({"tower": {"kind": "spiral"}}), "[1, 2]",
+                 json.dumps({"tower": [1, 2]}),
+                 json.dumps({"tower": {"kind": "tensor", "dims": [2, 2]}, "profile": 5})):
+        cfg.write_text(text)
+        code = main(["verify", "--experiment", "weak-type", "--config", str(cfg), "--seed", "1"])
+        assert code == 2, text
+        assert capsys.readouterr().err.startswith("error:"), text
 
 
 def test_verify_config_file(tmp_path):
@@ -186,7 +187,7 @@ def test_norms_command(tmp_path):
     assert json.loads(out.read_text())["norms"]["lp:3"] == pytest.approx(1.0)
 
 
-def test_norms_errors(tmp_path):
+def test_norms_errors(tmp_path, capsys):
     f = np.eye(4, dtype=complex)
     op = tmp_path / "f.json"
     op.write_text(json.dumps(operator_to_json(f)))
@@ -201,6 +202,13 @@ def test_norms_errors(tmp_path):
     # unreadable operator file
     assert main(["norms", "--tower", "tensor:2,2", "--operator",
                  str(tmp_path / "missing.json"), "--norm", "lp:2"]) == 2
+    # JSON that is not an operator object
+    capsys.readouterr()
+    for obj in ([1, 2], {"dim": None, "re": [], "im": []}, {"dim": 2, "re": {}, "im": []}):
+        op.write_text(json.dumps(obj))
+        assert main(["norms", "--tower", "tensor:2,2", "--norm", "lp:1",
+                     "--operator", str(op)]) == 2, obj
+        assert capsys.readouterr().err.startswith("error:"), obj
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

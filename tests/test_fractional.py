@@ -41,12 +41,9 @@ def test_zeta_sequence_methods(tensor22):
     closed = zeta_sequence(tensor22)
     assert closed.provenance == "closed_form_tensor"
     assert closed.values == (0.5, 0.25)
-    user = zeta_sequence(tensor22, "user", values=(0.5, 0.5))
-    assert user.provenance == "user"
-    with pytest.raises(ValueError):
-        zeta_sequence(tensor22, "user")
-    with pytest.raises(ValueError):
-        zeta_sequence(tensor22, "nope")
+    for method in ("user", "nope"):  # given values are a CoefficientSequence
+        with pytest.raises(ValueError, match="unknown coefficient method"):
+            zeta_sequence(tensor22, method)
     opt = zeta_sequence(tensor22, "optimize", restarts=4)
     assert opt.provenance == "optimized"
     assert len(opt.certificates) == 2

@@ -1,13 +1,17 @@
-"""Source hygiene: every name a module imports is used or re-exported, and
-every module-level private name is used somewhere in the package."""
+"""Source hygiene: every name a module imports is used or re-exported, every
+module-level private name is used somewhere in the package, and every default
+parameter is set by some call of the package or of its benchmark."""
 
 import ast
+import math
 import pathlib
 from collections import Counter
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ncmart"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "ncmart"
+PERFBENCH = ROOT / "perfbench"
 
 
 def _unused_imports(tree):
@@ -95,3 +99,86 @@ def test_guard_flags_an_orphaned_private_name():
     }.items()}
     assert _orphaned_private_names(trees) == [
         ("a", 2, "_unused"), ("a", 5, "_recursive"), ("a", 9, "_Orphan")]
+
+
+def _defaulted_parameters(tree):
+    """``(function, parameter, index)`` for each parameter with a default on a
+    ``def``, nested ones included; ``index`` is the parameter's place among a
+    call's positional arguments (``self`` not counted), ``None`` if keyword-only."""
+    found = []
+
+    def visit(node, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                bound = in_class and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod" for d in child.decorator_list)
+                first = len(positional) - len(args.defaults)
+                found.extend((child.name, a.arg, i - bound)
+                             for i, a in enumerate(positional) if i >= first)
+                found.extend((child.name, a.arg, None)
+                             for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+            visit(child, isinstance(child, ast.ClassDef))
+
+    visit(tree, False)
+    return found
+
+
+def _unset_parameters(defining, calling):
+    """``(module, function, parameter)`` of each defaulted parameter in the
+    ``defining`` trees that no call in the ``calling`` trees passes.
+
+    A call ``f(...)``, ``mod.f(...)`` or ``obj.f(...)`` counts for every
+    function named ``f``; a keyword passed to a callee without a name, such as
+    ``EXPERIMENTS[name](cfg, threads=threads)``, counts for every function.
+    """
+    named, unnamed = {}, set()
+    for tree in calling:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            keywords = {k.arg for k in node.keywords if k.arg is not None}
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name is None:
+                unnamed |= keywords
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            named.setdefault(name, []).append((math.inf if starred else len(node.args), keywords))
+    return sorted((module, fn, param) for module, tree in defining.items()
+                  for fn, param, index in _defaulted_parameters(tree)
+                  if param not in unnamed and not any(
+                      param in keywords or (index is not None and count > index)
+                      for count, keywords in named.get(fn, ())))
+
+
+# Defaulted parameters that no program path sets, and why each stays.
+KEPT_PARAMETERS = {
+    ("algebra", "custom", "weights"): "the only way to state a non-uniform trace",
+    ("spectral", "weak_norm_distribution", "lambdas"):
+        "weak_norm_distribution is the reference the weak-norm tests compare against",
+    ("martingale", "hardy_mixed_upper", "refine"):
+        "goes with the mixed-Hardy search, which a value-moving benchmark change deletes",
+}
+
+
+def test_every_default_parameter_is_set_by_a_program_path():
+    """A default that no call in the package or its benchmark overrides is a
+    constant; only the parameters of ``KEPT_PARAMETERS`` are exempt."""
+    defining = {path.stem: ast.parse(path.read_text(), filename=str(path))
+                for path in sorted(SRC.glob("*.py"))}
+    calling = list(defining.values()) + [ast.parse(path.read_text(), filename=str(path))
+                                         for path in sorted(PERFBENCH.glob("*.py"))]
+    unset = _unset_parameters(defining, calling)
+    assert unset == sorted(KEPT_PARAMETERS), f"unset: {unset}; exempt: {sorted(KEPT_PARAMETERS)}"
+
+
+def test_guard_flags_an_unset_parameter():
+    tree = ast.parse(
+        "def f(a, b=1, c=2, *, d=3):\n    return a\n\n\n"
+        "class K:\n    def m(self, x, y=0):\n        pass\n\n"
+        "    @staticmethod\n    def s(x, y=0):\n        pass\n\n\n"
+        "def g(z=0, threads=1):\n    def inner(flag=True):\n        pass\n    inner()\n\n\n"
+        "TABLE = {'g': g}\nf(1, 2)\nK().m(1)\nK.s(1, 2)\nTABLE['g'](threads=2)\n")
+    assert _unset_parameters({"a": tree}, [tree]) == [
+        ("a", "f", "c"), ("a", "f", "d"), ("a", "g", "z"), ("a", "inner", "flag"), ("a", "m", "y")]

@@ -1,5 +1,4 @@
 import hashlib
-import json
 import math
 
 import numpy as np
@@ -71,12 +70,6 @@ def test_value_at_steps():
     assert s.value_at(1.0) == 0.0
     with pytest.raises(ValueError):
         s.value_at(-0.1)
-
-
-def test_json_roundtrip():
-    s = SingularValueFunction(np.array([3.0, 1.0]), np.array([0.25, 1.0]))
-    r = SingularValueFunction.from_json(json.loads(json.dumps(s.to_json())))
-    assert np.array_equal(r.values, s.values) and np.array_equal(r.cums, s.cums)
 
 
 def _merge_sequentially(values, weights):
