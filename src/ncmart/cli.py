@@ -79,6 +79,8 @@ def _cmd_zeta(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    """Run one experiment; flags override the config file's fields."""
+    obj = {}
     if args.config:
         try:
             with open(args.config) as fh:
@@ -87,20 +89,14 @@ def _cmd_verify(args) -> int:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
         if not isinstance(obj, dict):
             raise ConfigError(f"config {args.config!r} is not a JSON object")
-        obj.setdefault("experiment", args.experiment)
-        obj["seed"] = args.seed
-        if args.tower:
-            obj.setdefault("tower", FiltrationSpec.parse(args.tower).to_json())
-        cfg = ExperimentConfig.from_json(obj)
-    else:
-        if not args.tower:
-            raise ConfigError("verify needs --tower or --config")
-        cfg = ExperimentConfig(
-            experiment=args.experiment,
-            tower=FiltrationSpec.parse(args.tower),
-            trials=args.trials,
-            seed=args.seed,
-        )
+    elif not args.tower:
+        raise ConfigError("verify needs --tower or --config")
+    obj.update(experiment=args.experiment, seed=args.seed)
+    if args.tower:
+        obj["tower"] = FiltrationSpec.parse(args.tower).to_json()
+    if args.trials is not None:
+        obj["trials"] = args.trials
+    cfg = ExperimentConfig.from_json(obj)
     report = run_ratio_experiment(cfg, threads=_threads(args))
     fmt = "csv" if args.out and args.out.endswith(".csv") else "json"
     if args.out:
@@ -197,7 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tower", default=None, help="tower spec, e.g. tensor:2,2,2")
     p.add_argument("--config", default=None, help="JSON experiment config file")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=int, default=None,
+                   help="trials per grid point (default: the config's, else 200)")
     p.add_argument("--threads", type=int, default=None,
                    help="worker threads (default: NCMART_THREADS or 1)")
     p.add_argument("--out", default=None, help="report file; .csv selects CSV format")

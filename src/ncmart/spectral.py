@@ -3,7 +3,7 @@
 The singular value function of an operator ``x`` is the decreasing
 rearrangement of the spectrum of ``|x|`` weighted by the trace; on a finite
 tower it is a right-continuous decreasing step function on ``[0, 1)`` stored
-as ``(value, cumulative weight)`` breakpoints.
+as ``(value, cumulative weight)`` breakpoints, one piece per distinct value.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "operator_norm",
 ]
 
-MERGE_TOL = 1e-12
 # Above this exponent, power sums are evaluated in log space.
 LOG_SPACE_EXPONENT = 32.0
 
@@ -62,73 +61,27 @@ class SingularValueFunction:
 
     @staticmethod
     def from_spectrum(values, weights):
-        """Merge weighted spectrum samples into a step function.
+        """Group weighted spectrum samples into a step function.
 
-        Taken in decreasing order, a sample joins the current piece while it
-        lies within ``MERGE_TOL * max(1, head)`` of the piece's first value
-        ``head``, and each piece's weight is the running total of its
-        samples' weights; samples of zero weight are dropped.
+        Taken in decreasing order, samples of zero weight are dropped and
+        each run of equal values is one piece, whose ``cums`` entry is the
+        running total of the weights at its last sample.  A value or weight
+        that is NaN or infinite raises ``ArithmeticError``: it comes from a
+        computation that overflowed, so it is a numerical failure.
         """
         values = np.asarray(values, dtype=float)
         weights = np.asarray(weights, dtype=float)
+        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(weights))):
+            raise ArithmeticError("spectrum has a NaN or infinite value or weight")
         order = np.argsort(values)[::-1]
+        order = order[weights[order] > 0]
         values, weights = values[order], weights[order]
-        keep = ~(weights <= 0)
-        values, weights = values[keep], weights[keep]
         if values.size == 0:
             return SingularValueFunction(np.zeros(1), np.ones(1))
-        starts, ends = _pieces(values)
-        cums = np.cumsum(_piece_sums(weights, starts, ends))
+        last = np.append(values[1:] != values[:-1], True)
+        cums = np.cumsum(weights)[last]
         cums[-1] = 1.0  # weights sum to tau(1) = 1 up to rounding
-        return SingularValueFunction(np.maximum(values[starts], 0.0), cums)
-
-
-def _within_tol(head, v):
-    return head - v <= MERGE_TOL * np.maximum(1.0, head)
-
-
-def _pieces(values):
-    """Start and end (exclusive) of each merged piece of a nonincreasing array."""
-    close = _within_tol(values[:-1], values[1:])
-    starts = np.flatnonzero(np.append(True, ~close))
-    ends = np.append(starts[1:], values.size)
-    # A run of close neighbours is one piece unless its last value drifts
-    # further than the tolerance from its first; walk only such runs.
-    drifting = np.flatnonzero(~_within_tol(values[starts], values[ends - 1]))
-    if drifting.size == 0:
-        return starts, ends
-    extra = []
-    for r in drifting:
-        head = values[starts[r]]
-        for i in range(starts[r] + 1, ends[r]):
-            if not _within_tol(head, values[i]):
-                extra.append(i)
-                head = values[i]
-    starts = np.union1d(starts, extra)
-    return starts, np.append(starts[1:], values.size)
-
-
-def _piece_sums(weights, starts, ends):
-    """Sum each piece's weights left to right, as a running total does.
-
-    Two samples add the same in any order, so ``np.add.reduceat`` serves
-    pieces of one or two; it sums longer ones pairwise, which rounds
-    differently.  Those are padded with zeros to the next power of two and
-    summed by a row-wise ``cumsum``, one batch per width.
-    """
-    sums = np.add.reduceat(weights, starts)
-    sizes = ends - starts
-    long = np.flatnonzero(sizes > 2)
-    if long.size == 0:
-        return sums
-    exps = np.frexp(sizes[long] - 1)[1]  # 2**exps is the padded width
-    for e in np.unique(exps):
-        sel = long[exps == e]
-        cols = np.arange(1 << e)
-        inside = cols < sizes[sel, None]
-        rows = np.where(inside, weights[np.where(inside, starts[sel, None] + cols, 0)], 0.0)
-        sums[sel] = np.cumsum(rows, axis=1)[:, -1]
-    return sums
+        return SingularValueFunction(np.maximum(values[last], 0.0), cums)
 
 
 def _solver_failure(x):

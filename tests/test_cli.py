@@ -10,7 +10,7 @@ import pytest
 
 import ncmart.cli as cli
 import ncmart.harness as harness
-from ncmart.algebra import operator_to_json
+from ncmart.algebra import FiltrationSpec, operator_to_json
 from ncmart.cli import main
 
 
@@ -98,6 +98,47 @@ def test_verify_config_file(tmp_path):
     code = main(["verify", "--experiment", "example", "--config", str(cfg),
                  "--seed", "4", "--out", str(out)])
     assert code == 0
+
+
+@pytest.fixture
+def verify_configs(monkeypatch):
+    """The configs ``verify`` runs, recorded in place of running them."""
+    seen = []
+
+    def record(cfg, threads=1):
+        seen.append(cfg)
+        return harness.Report(cfg.experiment, cfg.to_json())
+
+    monkeypatch.setattr(cli, "run_ratio_experiment", record)
+    return seen
+
+
+@pytest.mark.parametrize("flags, file_trials, want", [
+    ([], 3, {}),
+    (["--tower", "tensor:2,2"], 3, {"tower": FiltrationSpec.parse("tensor:2,2").to_json()}),
+    (["--trials", "2"], 3, {"trials": 2}),
+    ([], None, {"trials": 200}),
+])
+def test_verify_flags_override_config(tmp_path, verify_configs, flags, file_trials, want):
+    """``--experiment`` and ``--seed`` always win over the config file, and
+    ``--tower`` and ``--trials`` when given; other fields come from the file."""
+    obj = {"experiment": "lp-lq", "tower": FiltrationSpec.parse("abelian:3").to_json(),
+           "seed": 9, "alphas": [0.5]}
+    if file_trials is not None:
+        obj["trials"] = file_trials
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(obj))
+    assert main(["verify", "--experiment", "weak-type", "--config", str(cfg), "--seed", "4",
+                 *flags]) == 0
+    expected = {**obj, "experiment": "weak-type", "seed": 4, "trials": file_trials, **want}
+    got = verify_configs[0].to_json()
+    assert {k: got[k] for k in expected} == expected
+
+
+def test_verify_without_config_defaults_to_200_trials(verify_configs):
+    assert main(["verify", "--experiment", "weak-type", "--tower", "tensor:2", "--seed", "1"]) == 0
+    assert verify_configs[0].trials == 200
+    assert verify_configs[0].tower == FiltrationSpec.parse("tensor:2")
 
 
 def test_verify_non_dyadic_tensor_tower():
@@ -220,6 +261,16 @@ def test_norms_rejects_non_finite_operator(tmp_path, capsys, bad):
     assert main(["norms", "--tower", "tensor:2,2", "--operator", str(op),
                  "--norm", "lp:1"]) == 2
     assert "NaN or infinite" in capsys.readouterr().err
+
+
+def test_norms_overflow_is_numerical_failure(tmp_path, capsys):
+    """``x* x`` overflows, so the spectrum of ``|x|`` is NaN: exit 3, not a crash."""
+    op = tmp_path / "f.json"
+    op.write_text(json.dumps(operator_to_json(np.diag([1e200, 1, 1, 1]).astype(complex))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["norms", "--tower", "tensor:2,2", "--operator", str(op), "--norm", "lp:1"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numerical failure: spectrum has a NaN")
 
 
 @pytest.mark.parametrize("argv", [

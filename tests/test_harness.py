@@ -1,11 +1,13 @@
 import csv
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import ncmart.martingale as mg
+import ncmart.spectral as spectral
 from ncmart.algebra import FiltrationSpec, Tower, build_tower
 from ncmart.harness import (
     ConfigError,
@@ -285,3 +287,25 @@ def test_atom_map_reports_ranks():
     assert len(ranks) > 1
     for rec in r.trials:
         assert math.isfinite(rec["constant"]) and rec["constant"] > 0
+
+
+@pytest.mark.parametrize("poisoned", [0, 1], ids=["value", "weight"])
+def test_non_finite_spectrum_is_trial_error(monkeypatch, poisoned):
+    """A NaN in a trial's spectrum is recorded as a trial error; ``one`` runs
+    a single trial, so the extremal family outside it keeps finite spectra."""
+    spectrum = spectral._absolute_value_spectrum
+
+    def poison(tower, x):
+        out = spectrum(tower, x)
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name != "one":
+            frame = frame.f_back
+        if frame is not None:
+            out[poisoned][0] = math.nan
+        return out
+
+    monkeypatch.setattr(spectral, "_absolute_value_spectrum", poison)
+    report = run_ratio_experiment(_cfg("weak-type", trials=2, extremal_n_max=2))
+    assert len(report.failures) == len(report.trials) > 0
+    assert all(f["check"] == "trial_error" and "NaN or infinite" in f["detail"]
+               for f in report.failures)

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncmart.spectral import (
-    MERGE_TOL,
     SingularValueFunction,
     _eigvalsh,
     distribution,
@@ -72,42 +71,20 @@ def test_value_at_steps():
         s.value_at(-0.1)
 
 
-def _merge_sequentially(values, weights):
-    """One sample at a time: the reference for ``from_spectrum``."""
-    values = np.asarray(values, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    order = np.argsort(values)[::-1]
-    vs, ws = [], []
-    for v, w in zip(values[order], weights[order]):
-        if w <= 0:
-            continue
-        if vs and vs[-1] - v <= MERGE_TOL * max(1.0, vs[-1]):
-            ws[-1] += w
-        else:
-            vs.append(v)
-            ws.append(w)
-    if not vs:
-        vs, ws = [0.0], [1.0]
-    cums = np.cumsum(ws)
-    cums[-1] = 1.0
-    return np.maximum(vs, 0.0), cums
-
-
 @st.composite
-def clustered_spectra(draw):
-    """Spectra with exact ties and chains of gaps near ``MERGE_TOL``.
+def tied_spectra(draw):
+    """Spectra with exact ties and near-ties, some samples of zero weight.
 
-    Each cluster steps down from its centre by multiples of the tolerance
-    at the centre, so a chain of individually close values can drift past
-    the tolerance from its first value.
+    Each cluster steps down from its centre by relative gaps from one ulp
+    up to ``1e-10``, or by nothing, which repeats a value exactly.
     """
     values = []
     for _ in range(draw(st.integers(min_value=1, max_value=6))):
         centre = draw(st.sampled_from([0.0, 1e-13, 0.5, 1.0, 3.0, 100.0])
                       | st.floats(min_value=0.0, max_value=100.0))
-        steps = draw(st.lists(st.sampled_from([0.0, 0.3, 0.6, 0.9, 1.0, 1.1, 2.0]),
+        steps = draw(st.lists(st.sampled_from([0.0, 0.0, 1.1e-16, 3e-16, 1e-14, 1e-12, 1e-10]),
                               max_size=10))
-        offsets = np.cumsum([0.0] + steps) * MERGE_TOL * max(1.0, centre)
+        offsets = np.cumsum([0.0] + steps) * max(1.0, centre)
         values.extend(np.maximum(centre - offsets, 0.0))
     weights = np.asarray(draw(st.lists(
         st.just(0.0) | st.floats(min_value=0.01, max_value=1.0),
@@ -120,19 +97,46 @@ def clustered_spectra(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(spectrum=clustered_spectra())
-def test_from_spectrum_matches_sequential_merge(spectrum):
+@given(spectrum=tied_spectra(), p=st.floats(min_value=1.0, max_value=8.0))
+def test_from_spectrum_matches_direct_formulas(spectrum, p):
+    """Norms, distribution and ``mu_t`` of the step function equal their
+    formulas over the raw samples; each distinct value is one piece."""
     values, weights = spectrum
     s = SingularValueFunction.from_spectrum(values, weights)
-    ref_values, ref_cums = _merge_sequentially(values, weights)
-    assert np.array_equal(s.values, ref_values)
-    assert np.array_equal(s.cums, ref_cums)
+    distinct = sorted(set(values[weights > 0].tolist()), reverse=True) or [0.0]
+    assert s.values.tolist() == distinct
+    assert np.all(np.diff(s.values) < 0)
+    close = dict(rel=1e-12, abs=0.0)
+    for q in (0.5, p):
+        assert lp_norm(s, q) == pytest.approx(np.sum(weights * values**q) ** (1 / q), **close)
+    above_or_at = np.array([weights[values >= v].sum() for v in values])
+    weak = np.max(values * above_or_at ** (1 / p), initial=0.0)
+    assert weak_norm(s, p) == pytest.approx(weak, **close)
+    for lam in values[values > 0]:
+        for level in (lam, lam * (1 - 1e-9), lam * (1 + 1e-9)):
+            assert distribution(s, level) == pytest.approx(weights[values > level].sum(), **close)
+    ends = np.unique(above_or_at[weights > 0])
+    for t in np.concatenate([[0.0], (np.append(0.0, ends[:-1]) + ends) / 2, [1.5]]):
+        mu = np.max(values[above_or_at > t], initial=0.0)
+        assert s.value_at(t) == pytest.approx(mu, **close)
 
 
 def test_from_spectrum_merges_ties():
     s = SingularValueFunction.from_spectrum([1.0, 1.0, 2.0], [0.25, 0.25, 0.5])
     assert s.values.tolist() == [2.0, 1.0]
     assert np.allclose(s.cums, [0.5, 1.0])
+
+
+@pytest.mark.parametrize("values, weights", [
+    ([math.nan, 1.0], [0.5, 0.5]),
+    ([2.0, 1.0], [math.nan, 0.5]),
+    ([math.inf, 1.0], [0.5, 0.5]),
+    ([2.0, 1.0], [0.5, math.inf]),
+])
+def test_from_spectrum_rejects_non_finite(values, weights):
+    """A NaN or infinite sample is a numerical failure, not a step function."""
+    with pytest.raises(ArithmeticError, match="NaN or infinite"):
+        SingularValueFunction.from_spectrum(values, weights)
 
 
 def test_diagonal_operator_svf(abelian3):
