@@ -31,6 +31,9 @@ __all__ = [
 DEPENDENCE_TOL = 1e-12
 # Structural validation tolerance for user-supplied bases.
 STRUCTURE_TOL = 1e-8
+# Eigenvalues of a generic level element closer than this (relative) are
+# one multiplicity in ``Tower.level_constant``.
+MULTIPLICITY_TOL = 1e-10
 # Dense basis stacks above this entry count are never materialized.
 MAX_STACK_ENTRIES = 1 << 24
 
@@ -330,6 +333,38 @@ class Tower:
         if self.spec.kind == "abelian_dyadic":
             return 1 << k
         return self._level_cache[k].shape[0]
+
+    def level_constant(self, k):
+        """Smallest trace of a minimal projection of level ``k``; ``None``
+        on a custom tower with a non-uniform trace.
+
+        Every ``x`` in level ``k`` has ``||x||_inf^2 <= ||x||_2^2 / c``
+        with ``c`` this value.  On a uniform custom tower, level ``k`` is
+        ``sum_j M_{n_j} (x) 1_{m_j}`` in ``M_d``, so its minimal
+        projections have rank ``m_j`` and trace ``m_j / d`` (that is
+        ``Tr(P_j) / (n_j d)`` for the central projection ``P_j``).  The
+        spectral projections of a generic self-adjoint element of the level
+        are minimal, one per eigenvalue, so ``c`` is the smallest eigenvalue
+        multiplicity over ``d``.  The element is drawn from a fixed seed.
+        """
+        self._check_level(k)
+        if self.spec.kind == "tensor":
+            return 1.0 / math.prod(self.factor_dims[:k])
+        if self.spec.kind == "abelian_dyadic":
+            return 2.0**-k
+        if not self.uniform_trace:
+            return None
+        basis = self.level_basis(k)
+        rng = np.random.default_rng(0)
+        coeffs = rng.standard_normal(basis.shape[0]) + 1j * rng.standard_normal(basis.shape[0])
+        x = np.tensordot(coeffs, basis, axes=(0, 0))
+        vals = np.linalg.eigvalsh(x + x.conj().T)
+        # Merging two eigenvalues could overstate the constant, while
+        # splitting one only weakens the bound, so the gap stays near rounding.
+        gap = MULTIPLICITY_TOL * max(1.0, float(np.max(np.abs(vals))))
+        edges = np.flatnonzero(np.diff(vals) > gap)
+        sizes = np.diff(np.concatenate([[0], edges + 1, [vals.size]]))
+        return int(sizes.min()) / self.dim
 
     # -- conditional expectations ------------------------------------------
 

@@ -33,6 +33,8 @@ __all__ = [
 BASIS_START_CAP = 64
 # Iteration cap of each alternating maximization path.
 MAX_ALTERNATING_STEPS = 500
+# Relative excess over the level bound still taken as rounding.
+CAP_ROUNDING = 1e-12
 
 
 @dataclass(frozen=True)
@@ -85,13 +87,15 @@ def _top_singular_pairs(xs):
     return s[:, 0], u[:, :, 0], vh[:, 0, :].conj()
 
 
-def _alternating_max(basis_flat, d, starts, tol):
+def _alternating_max(basis_flat, d, starts, tol, cap):
     """Maximize the top singular value over the unit coefficient sphere.
 
     ``basis_flat`` is the (m, d*d) flattened trace-orthonormal basis of the
     subspace; ``starts`` is an (s, m) array of unit coefficient vectors.
     A path stops when its objective gains less than the relative ``tol``,
-    or after ``MAX_ALTERNATING_STEPS`` steps.
+    or after ``MAX_ALTERNATING_STEPS`` steps.  All paths stop once the best
+    objective is within ``tol`` of ``cap``, a proven upper bound on it
+    (``None`` when there is none): no start can do better.
     Returns per-start objectives and the best coefficient vector.  The
     objective is nondecreasing along each iteration path by construction;
     this is asserted up to roundoff.
@@ -112,7 +116,7 @@ def _alternating_max(basis_flat, d, starts, tol):
         obj[idx] = sigma
         active[idx] = moved
         live = idx[moved]
-        if live.size == 0:
+        if live.size == 0 or (cap is not None and obj.max() * (1 + tol) >= cap):
             break
         # next coefficients maximize Re <u, X(c) v> over the unit sphere
         pos = np.searchsorted(idx, live)
@@ -131,15 +135,26 @@ def zeta_optimize(tower: Tower, k, restarts=32, tol=1e-10, seed=0, return_detail
     most promising ``BASIS_START_CAP`` of them iterate to stationarity; all
     basis elements are at least evaluated).  Returns an upper bound on the
     constant; closed forms bound it from the other side in tests.
+
+    ``D_k`` lies in level ``k``, so the ratio is at most
+    ``tower.level_constant(k) ** -0.5``.  The search stops as soon as it
+    reaches that bound within ``tol``, and a ratio above it by more than
+    rounding raises ``ArithmeticError``.  The details record the bound
+    (``upper_bound``, ``None`` where the tower has none) and whether it was
+    reached (``certified``): then the constant equals the level constant.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     basis = tower.difference_basis(k)
     m = basis.shape[0]
     if m == 0:
         raise TowerError(f"difference subspace at level {k} is trivial")
     d = tower.dim
     basis_flat = basis.reshape(m, d * d)
+    level = tower.level_constant(k)
+    cap = None if level is None else level**-0.5
 
     # objective at every basis element; only the best ones iterate
     base_obj, _, _ = _top_singular_pairs(basis)
@@ -151,8 +166,11 @@ def zeta_optimize(tower: Tower, k, restarts=32, tol=1e-10, seed=0, return_detail
     rand /= np.linalg.norm(rand, axis=1, keepdims=True)
     starts = np.concatenate([np.eye(m, dtype=complex)[iter_basis], rand])
 
-    obj, _ = _alternating_max(basis_flat, d, starts, tol)
+    obj, _ = _alternating_max(basis_flat, d, starts, tol, cap)
     best = max(float(np.max(obj)), float(np.max(base_obj)))
+    if cap is not None and best > cap * (1 + CAP_ROUNDING):
+        raise ArithmeticError(
+            f"ratio {best!r} on D_{k} exceeds the level bound {cap!r}")
     zeta = 1.0 / best**2
     if return_details:
         details = {
@@ -162,6 +180,8 @@ def zeta_optimize(tower: Tower, k, restarts=32, tol=1e-10, seed=0, return_detail
             "basis_dim": int(m),
             "best_ratio": best,
             "per_start_top": sorted((float(o) for o in obj), reverse=True)[:5],
+            "upper_bound": cap,
+            "certified": cap is not None and best * (1 + tol) >= cap,
         }
         return zeta, details
     return zeta
@@ -172,7 +192,7 @@ def _closed_form(tower: Tower):
         # ||x||_inf^2 <= d_k ||x||_2^2 on level k for the normalized trace,
         # d_k = n_1...n_k, with equality at the rank-one E_11 (x) ... (x) E_11
         # (x) E_12 (x) 1 (E_12 in factor k), which lies in D_k.
-        vals = [1.0 / math.prod(tower.factor_dims[:k]) for k in range(1, tower.n_levels + 1)]
+        vals = [tower.level_constant(k) for k in range(1, tower.n_levels + 1)]
         return vals, "closed_form_tensor"
     if tower.spec.kind == "abelian_dyadic":
         # D_1 is the whole two-atom first level (identity included), so the

@@ -260,6 +260,36 @@ def test_random_element_in_difference(tensor222):
 
 
 # ---------------------------------------------------------------------------
+# level constants
+
+
+@pytest.mark.parametrize("spec, expected", [
+    ("tensor:2,3,3", (1 / 2, 1 / 6, 1 / 18)),
+    ("abelian:3", (1 / 2, 1 / 4, 1 / 8)),
+])
+def test_level_constant_closed_forms(spec, expected):
+    t = build_tower(FiltrationSpec.parse(spec))
+    assert tuple(t.level_constant(k) for k in range(1, t.n_levels + 1)) == expected
+    with pytest.raises(TowerError):
+        t.level_constant(0)
+
+
+def test_level_constant_custom(custom4, weighted2, tensor22):
+    assert [custom4.level_constant(k) for k in (1, 2, 3)] == [1 / 2, 1 / 4, 1 / 4]
+    assert weighted2.level_constant(1) is None
+    # the levels of tensor:2,2 handed over as spanning sets
+    same = build_tower(FiltrationSpec.custom([tensor22.level_basis(k) for k in (1, 2)]))
+    assert [same.level_constant(k) for k in (1, 2)] == [tensor22.level_constant(k)
+                                                        for k in (1, 2)]
+    # C 1_3 + M_2 in M_5: the M_2 block's rank-one projections are the smallest
+    units = [np.zeros((5, 5), dtype=complex) for _ in range(4)]
+    for u, (i, j) in zip(units, [(3, 3), (3, 4), (4, 3), (4, 4)]):
+        u[i, j] = 1.0
+    blocks = build_tower(FiltrationSpec.custom([[np.diag([1.0, 1, 1, 0, 0])] + units]))
+    assert blocks.level_constant(1) == 1 / 5
+
+
+# ---------------------------------------------------------------------------
 # custom tower validation
 
 

@@ -10,7 +10,7 @@ import pytest
 
 import ncmart.cli as cli
 import ncmart.harness as harness
-from ncmart.algebra import FiltrationSpec, operator_to_json
+from ncmart.algebra import FiltrationSpec, Tower, operator_to_json
 from ncmart.cli import main
 
 
@@ -28,6 +28,18 @@ def test_zeta_closed_form_agreement(tmp_path, capsys):
 def test_zeta_bad_tower():
     assert main(["zeta", "--tower", "tensor:1"]) == 2
     assert main(["zeta", "--tower", "klein:4"]) == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1e-3"])
+def test_zeta_bad_tol(tol, capsys):
+    assert main(["zeta", "--tower", "tensor:2,2", "--tol", tol]) == 2
+    assert "tol" in capsys.readouterr().err
+
+
+def test_zeta_above_level_bound_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(Tower, "level_constant", lambda self, k: 1.0)
+    assert main(["zeta", "--tower", "tensor:2,2", "--restarts", "4"]) == 3
+    assert "level bound" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("exc", [np.linalg.LinAlgError("SVD did not converge"),

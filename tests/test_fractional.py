@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ncmart.martingale as mg
-from ncmart.algebra import FiltrationSpec, TowerError, build_tower
+from ncmart.algebra import FiltrationSpec, Tower, TowerError, build_tower
 from ncmart.fractional import (
     CoefficientSequence,
     _top_singular_pairs,
@@ -106,6 +106,45 @@ def test_optimizer_details(tensor22):
     assert det["best_ratio"] == pytest.approx(2.0, rel=1e-8)
     with pytest.raises(ValueError):
         zeta_optimize(tensor22, 1, restarts=0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-3, math.inf])
+def test_optimizer_rejects_bad_tol(tensor22, tol):
+    with pytest.raises(ValueError, match="tol"):
+        zeta_optimize(tensor22, 2, tol=tol)
+
+
+def test_optimizer_stops_at_level_bound(monkeypatch):
+    """A matrix unit reaches the level bound among the basis starts, so the
+    search ends after its first step."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    tower = build_tower(FiltrationSpec.parse("tensor:2,3,3"))
+    z, det = zeta_optimize(tower, 3, return_details=True)
+    assert len(calls) <= 3
+    assert det["certified"] is True
+    assert det["upper_bound"] == pytest.approx(math.sqrt(18), rel=1e-15)
+    assert z == pytest.approx(1 / 18, rel=1e-12)
+
+
+def test_optimizer_below_level_bound(abelian3):
+    """D_3 of abelian:3 has constant 2^-2, its level 2^-3: no certificate."""
+    z, det = zeta_optimize(abelian3, 3, restarts=8, return_details=True)
+    assert z == pytest.approx(0.25, rel=1e-6)
+    assert det["certified"] is False
+    assert det["upper_bound"] == pytest.approx(math.sqrt(8), rel=1e-15)
+
+
+def test_optimizer_above_level_bound_is_numerical_failure(tensor22, monkeypatch):
+    monkeypatch.setattr(Tower, "level_constant", lambda self, k: 1.0)
+    with pytest.raises(ArithmeticError, match="level bound"):
+        zeta_optimize(tensor22, 2, restarts=4)
 
 
 def test_optimizer_custom_tower(custom4):
