@@ -43,7 +43,6 @@ from .martingale import (
     hd_norm,
     lipschitz_column_lower,
     make_atom,
-    row_square_function,
     validate_atom,
 )
 from .spectral import (
@@ -66,7 +65,7 @@ __all__ = [
     "lorentz_norm", "weak_norm", "weak_norm_distribution", "distribution",
     "operator_norm",
     "MartingaleSequence", "adapt", "column_square_function",
-    "row_square_function", "hardy_column_norm", "hardy_row_norm",
+    "hardy_column_norm", "hardy_row_norm",
     "hardy_mixed_max", "hardy_mixed_upper", "hd_norm", "bmo_column_norm",
     "bmo_norm", "lipschitz_column_lower", "AtomCertificate", "validate_atom",
     "make_atom", "atom_constant",

@@ -161,37 +161,30 @@ def operator_from_json(obj) -> np.ndarray:
 # small orthonormalization helpers
 
 
-def gram_schmidt(vectors, inner):
-    """Orthonormalize ``vectors`` under ``inner``; drop dependent ones.
+def gram_schmidt(vectors, weights):
+    """Orthonormalize the stack ``vectors`` in order under the product
+    ``<a, b> = sum(w * conj(b) * a)``, with ``w = weights`` on the last axis.
 
-    Two re-orthogonalization passes keep the result stable; a vector whose
-    residual norm falls below ``DEPENDENCE_TOL`` is treated as dependent.
+    Scaling by ``sqrt(w)`` makes this the plain dot product of flattened
+    rows.  Each row is projected twice against the whole basis found so
+    far ("twice is enough": Giraud, Langou & Rozloznik, 2005), and a row
+    whose residual norm falls below ``DEPENDENCE_TOL`` is dependent and
+    dropped.  The basis comes back as an ``(m, *vectors.shape[1:])`` stack.
+    Orthonormalizing a stack whose leading rows are already orthonormal
+    continues their basis: the new rows span the rest of the stack's span.
     """
-    basis = []
-    for v in vectors:
-        v = np.array(v, dtype=complex)
+    vectors = np.asarray(vectors, dtype=complex)
+    root = np.sqrt(np.broadcast_to(weights, vectors.shape[1:])).ravel()
+    basis = np.empty((len(vectors), root.size), dtype=complex)
+    m = 0
+    for v in vectors.reshape(len(vectors), -1) * root:
         for _ in range(2):
-            for b in basis:
-                v = v - inner(v, b) * b
-        nrm = math.sqrt(max(inner(v, v).real, 0.0))
-        if nrm < DEPENDENCE_TOL:
-            continue
-        basis.append(v / nrm)
-    return basis
-
-
-def _diag_inner(w):
-    def inner(a, b):
-        return np.sum(w * np.conj(b) * a)
-
-    return inner
-
-
-def _unital_diag_onb(dim, w):
-    """Orthonormal basis of diagonal vectors with the constant vector first."""
-    cands = [np.ones(dim, dtype=complex)]
-    cands += [np.eye(dim, dtype=complex)[i] for i in range(dim)]
-    return gram_schmidt(cands, _diag_inner(w))
+            v = v - (basis[:m].conj() @ v) @ basis[:m]
+        nrm = np.linalg.norm(v)
+        if nrm >= DEPENDENCE_TOL:
+            basis[m] = v / nrm
+            m += 1
+    return (basis[:m] / root).reshape((m,) + vectors.shape[1:])
 
 
 def _traceless_onb(n):
@@ -204,9 +197,9 @@ def _traceless_onb(n):
                 m = np.zeros((n, n), dtype=complex)
                 m[i, j] = s
                 out.append(m)
-    w = np.full(n, 1.0 / n)
-    diag = _unital_diag_onb(n, w)[1:]
-    out += [np.diag(v) for v in diag]
+    # the diagonal units orthonormalized after the constant vector, which is dropped
+    cands = np.concatenate([np.ones((1, n)), np.eye(n)])
+    out += [np.diag(v) for v in gram_schmidt(cands, np.full(n, 1.0 / n))[1:]]
     return np.stack(out)
 
 
@@ -263,12 +256,9 @@ class Tower:
 
     def _init_custom(self, spec):
         sets = spec.spanning_sets
-        d = np.asarray(sets[0][0]).shape[0]
-        for s in sets:
-            for m in s:
-                m = np.asarray(m)
-                if m.shape != (d, d):
-                    raise TowerError("custom spanning sets must share one square shape")
+        d = np.shape(sets[0][0])[0]
+        if any(np.shape(m) != (d, d) for s in sets for m in s):
+            raise TowerError("custom spanning sets must share one square shape")
         self.dim = d
         self.n_levels = len(sets)
         if spec.weights:
@@ -282,28 +272,27 @@ class Tower:
         eye = np.eye(d, dtype=complex)
         prev = None
         for k, s in enumerate(sets, start=1):
-            vecs = gram_schmidt([eye] + [np.asarray(m, complex) for m in s], self.inner)
-            basis = np.stack(vecs)
+            basis = gram_schmidt([eye, *s], w)
             self._validate_custom_level(k, basis, prev)
             self._level_cache[k] = basis
             prev = basis
 
     def _validate_custom_level(self, k, basis, prev):
-        def resid(x, stack):
-            coeffs = np.tensordot(stack.conj(), x * self.weights[None, :], axes=([1, 2], [0, 1]))
-            return self.norm2(x - np.tensordot(coeffs, stack, axes=(0, 0)))
+        root = np.sqrt(np.broadcast_to(self.weights, basis.shape[1:])).ravel()
+        onb = basis.reshape(len(basis), -1) * root
+        adj = onb.conj().T
 
-        for b in basis:
-            if resid(b.conj().T, basis) > STRUCTURE_TOL:
-                raise TowerError(f"custom level {k} span is not *-closed")
-        for a in basis:
-            for b in basis:
-                if resid(a @ b, basis) > STRUCTURE_TOL:
-                    raise TowerError(f"custom level {k} span is not an algebra")
-        if prev is not None:
-            for b in prev:
-                if resid(b, basis) > STRUCTURE_TOL:
-                    raise TowerError(f"custom level {k} does not contain level {k - 1}")
+        def outside(stack):
+            # some element of ``stack`` leaves span(basis) in the trace norm
+            v = stack.reshape(len(stack), -1) * root
+            return np.linalg.norm(v - (v @ adj) @ onb, axis=1).max() > STRUCTURE_TOL
+
+        if outside(basis.conj().swapaxes(1, 2)):
+            raise TowerError(f"custom level {k} span is not *-closed")
+        if any(outside(a @ basis) for a in basis):
+            raise TowerError(f"custom level {k} span is not an algebra")
+        if prev is not None and outside(prev):
+            raise TowerError(f"custom level {k} does not contain level {k - 1}")
 
     # -- basic trace geometry ----------------------------------------------
 
@@ -445,6 +434,8 @@ class Tower:
         """
         self._check_level(k)
         if k not in self._diff_cache:
+            if self._stack_entries(k) - self._stack_entries(k - 1) > MAX_STACK_ENTRIES:
+                raise TowerError(f"D_{k} basis too large to materialize")
             self._diff_cache[k] = self._build_difference(k)
         return self._diff_cache[k]
 
@@ -467,14 +458,10 @@ class Tower:
                     for w in _traceless_onb(nk):
                         out.append(np.kron(np.kron(unit, w), eye_rest))
             return np.stack(out)
-        upper = self.level_basis(k)
+        # Gram-Schmidt continued past level k-1 spans the rest of level k
         lower = self.level_basis(k - 1)
-        resid = []
-        for b in upper:
-            coeffs = np.tensordot(lower.conj(), b * self.weights[None, :], axes=([1, 2], [0, 1]))
-            resid.append(b - np.tensordot(coeffs, lower, axes=(0, 0)))
-        basis = gram_schmidt(resid, self.inner)
-        return np.stack(basis)
+        both = np.concatenate([lower, self.level_basis(k)])
+        return gram_schmidt(both, self.weights)[len(lower):]
 
     def project_difference(self, k, x):
         """Trace-orthogonal projection of ``x`` onto ``D_k``: ``(E_k - E_{k-1}) x``."""

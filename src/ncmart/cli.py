@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -35,18 +34,6 @@ from .spectral import lorentz_norm, lp_norm, singular_value_function, weak_norm
 __all__ = ["main"]
 
 CLOSED_FORM_GAP = 1e-4
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("NCMART_THREADS", "")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"NCMART_THREADS must be an integer, got {env!r}") from None
-    return 1
 
 
 def _tower_from_args(args):
@@ -97,7 +84,7 @@ def _cmd_verify(args) -> int:
     if args.trials is not None:
         obj["trials"] = args.trials
     cfg = ExperimentConfig.from_json(obj)
-    report = run_ratio_experiment(cfg, threads=_threads(args))
+    report = run_ratio_experiment(cfg, threads=max(1, args.threads))
     fmt = "csv" if args.out and args.out.endswith(".csv") else "json"
     if args.out:
         emit_report(report, fmt, args.out)
@@ -195,8 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--trials", type=int, default=None,
                    help="trials per grid point (default: the config's, else 200)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: NCMART_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1, help="worker threads (default: 1)")
     p.add_argument("--out", default=None, help="report file; .csv selects CSV format")
     p.set_defaults(fn=_cmd_verify)
 

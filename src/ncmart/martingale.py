@@ -22,7 +22,6 @@ __all__ = [
     "MartingaleSequence",
     "adapt",
     "column_square_function",
-    "row_square_function",
     "hardy_column_norm",
     "hardy_row_norm",
     "hardy_mixed_max",
@@ -138,11 +137,6 @@ def column_square_function(m: MartingaleSequence):
     d = m.differences
     grams = np.abs(d) ** 2 if d.ndim == 2 else d.conj().swapaxes(1, 2) @ d
     return _sqrt_psd(grams.sum(axis=0))
-
-
-def row_square_function(m: MartingaleSequence):
-    """``S_r = (sum_k dx_k dx_k^*)^{1/2}``: the column square function of ``m^*``."""
-    return column_square_function(m.adjoint())
 
 
 def hardy_column_norm(m: MartingaleSequence, p) -> float:

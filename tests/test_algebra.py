@@ -11,6 +11,7 @@ from ncmart.algebra import (
     operator_from_json,
     operator_to_json,
 )
+from ncmart.fractional import zeta_optimize
 
 
 def _hermitian(rng, d):
@@ -46,11 +47,11 @@ def test_operator_json_roundtrip(rng):
 
 
 def test_gram_schmidt_drops_dependent():
-    inner = lambda a, b: complex(np.vdot(b, a))
-    v1 = np.array([1.0, 0.0], dtype=complex)
-    basis = gram_schmidt([v1, 2 * v1, np.array([1.0, 1.0], dtype=complex)], inner)
-    assert len(basis) == 2
-    g = np.array([[inner(a, b) for b in basis] for a in basis])
+    w = np.array([0.25, 0.75])
+    basis = gram_schmidt([[1.0, 0.0], [2.0, 0.0], [1.0, 1.0]], w)
+    assert basis.shape == (2, 2)
+    assert np.allclose(basis[0], [2.0, 0.0], atol=1e-12)
+    g = np.einsum("j,aj,bj->ab", w, basis, basis.conj())
     assert np.allclose(g, np.eye(2), atol=1e-12)
 
 
@@ -220,11 +221,8 @@ def test_abelian_difference_matches_gram_schmidt(abelian3):
     for k in (2, 3):
         upper = t.level_basis(k)
         lower = t.level_basis(k - 1)
-        resid = []
-        for b in upper:
-            coeffs = np.array([t.inner(b, l) for l in lower])
-            resid.append(b - np.tensordot(coeffs, lower, axes=(0, 0)))
-        generic = np.stack(gram_schmidt(resid, t.inner))
+        coeffs = np.array([[t.inner(b, l) for l in lower] for b in upper])
+        generic = gram_schmidt(upper - np.tensordot(coeffs, lower, axes=(1, 0)), t.weights)
         closed = t.difference_basis(k)
         assert generic.shape == closed.shape
         # both span the same subspace: mutual projections are isometric
@@ -314,11 +312,19 @@ def test_custom_tower_rejects_bad_weights():
         build_tower(FiltrationSpec.custom([[e]], weights=[-0.5, 1.5]))
 
 
+def test_custom_tower_rejects_non_selfadjoint_span():
+    # span{1, E_12} in M_2 is an algebra (E_12^2 = 0) but misses E_21 = E_12^*
+    m = np.zeros((2, 2), dtype=complex)
+    m[0, 1] = 1.0
+    with pytest.raises(TowerError, match=r"custom level 1 span is not \*-closed"):
+        build_tower(FiltrationSpec.custom([[m]]))
+
+
 def test_custom_tower_rejects_non_algebra():
     # span{1, E_12 + E_21} in M_3 is *-closed but (E_12+E_21)^2 leaves it
     m = np.zeros((3, 3), dtype=complex)
     m[0, 1] = m[1, 0] = 1.0
-    with pytest.raises(TowerError):
+    with pytest.raises(TowerError, match="custom level 1 span is not an algebra"):
         build_tower(FiltrationSpec.custom([[m]]))
 
 
@@ -326,8 +332,53 @@ def test_custom_tower_rejects_broken_nesting():
     p = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
     q = np.diag([1.0, 0.0, 1.0, 0.0]).astype(complex)
     e = np.eye(4, dtype=complex)
-    with pytest.raises(TowerError):
+    with pytest.raises(TowerError, match="custom level 2 does not contain level 1"):
         build_tower(FiltrationSpec.custom([[p, e - p], [q, e - q]]))
+
+
+def test_weighted_custom_tower_bases(rng):
+    """Levels C p + C (1 - p) and M_2 + C + C in M_4 under the trace (.1, .1, .3, .5)."""
+    w = np.array([0.1, 0.1, 0.3, 0.5])
+    units = np.zeros((16, 4, 4), dtype=complex)
+    units[np.arange(16), np.arange(16) // 4, np.arange(16) % 4] = 1.0
+    p = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
+    level2 = [units[i] for i in (0, 1, 4, 5, 10, 15)]
+    t = build_tower(FiltrationSpec.custom([[p], level2], weights=w))
+
+    def gram(a, b):
+        return np.einsum("j,aij,bij->ab", w, a, b.conj())
+
+    lower, upper, diff = t.level_basis(1), t.level_basis(2), t.difference_basis(2)
+    assert [len(lower), len(diff), len(upper)] == [2, 4, 6]
+    for basis in (lower, upper, diff):
+        assert np.allclose(gram(basis, basis), np.eye(len(basis)), atol=1e-12)
+    assert np.allclose(gram(diff, lower), 0.0, atol=1e-12)
+    for b in diff:
+        assert np.allclose(t.conditional_expectation(2, b), b, atol=1e-12)
+    # E_1 x = sum_P tau(P x) / tau(P) P over the minimal projections P, 1 - P
+    x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    want = sum(t.trace(q @ x) / t.trace(q) * q for q in (p, np.eye(4) - p))
+    assert np.allclose(t.conditional_expectation(1, x), want, atol=1e-12)
+
+
+def test_custom_tower_from_tensor_levels(tensor222, rng):
+    """Custom tower spanned by the tensor levels (m = 64 at level 3)."""
+    t = build_tower(FiltrationSpec.custom([tensor222.level_basis(k) for k in (1, 2, 3)]))
+    assert [t.level_dim(k) for k in (1, 2, 3)] == [4, 16, 64]
+    assert [t.difference_basis(k).shape[0] for k in (1, 2, 3)] == [
+        tensor222.difference_basis(k).shape[0] for k in (1, 2, 3)]
+    x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    for n in (1, 2, 3):
+        assert np.allclose(t.conditional_expectation(n, x),
+                           tensor222.conditional_expectation(n, x), rtol=0, atol=1e-12)
+
+
+def test_difference_basis_refuses_oversized_stacks():
+    # D_9 of abelian:9 would be a (256, 512, 512) dense stack; D_7 of 2^7 is 3 GiB
+    with pytest.raises(TowerError, match="too large"):
+        zeta_optimize(build_tower(FiltrationSpec.abelian_dyadic(9)), 9)
+    with pytest.raises(TowerError, match="too large"):
+        build_tower(FiltrationSpec.tensor([2] * 7)).difference_basis(7)
 
 
 def test_custom_tower_rejects_mixed_shapes():

@@ -197,14 +197,10 @@ def test_verify_seed_determinism(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_threads_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("NCMART_THREADS", "2")
+def test_threads_flag(tmp_path):
     out = tmp_path / "r.json"
     assert main(["verify", "--experiment", "weak-type", "--tower", "tensor:2,2",
-                 "--seed", "2", "--trials", "6", "--out", str(out)]) == 0
-    monkeypatch.setenv("NCMART_THREADS", "zebra")
-    assert main(["verify", "--experiment", "weak-type", "--tower", "tensor:2,2",
-                 "--seed", "2", "--trials", "6"]) == 2
+                 "--seed", "2", "--trials", "6", "--threads", "2", "--out", str(out)]) == 0
 
 
 def test_example_command(tmp_path):
