@@ -40,7 +40,6 @@ from .martingale import (
     hardy_mixed_max,
     hardy_mixed_upper,
     hardy_row_norm,
-    hd_norm,
     lipschitz_column_lower,
     make_atom,
     validate_atom,
@@ -66,7 +65,7 @@ __all__ = [
     "operator_norm",
     "MartingaleSequence", "adapt", "column_square_function",
     "hardy_column_norm", "hardy_row_norm",
-    "hardy_mixed_max", "hardy_mixed_upper", "hd_norm", "bmo_column_norm",
+    "hardy_mixed_max", "hardy_mixed_upper", "bmo_column_norm",
     "bmo_norm", "lipschitz_column_lower", "AtomCertificate", "validate_atom",
     "make_atom", "atom_constant",
     "CoefficientSequence", "zeta_optimize", "zeta_sequence",

@@ -27,7 +27,8 @@ __all__ = [
     "operator_from_json",
 ]
 
-# Residual below this is treated as linear dependence in Gram-Schmidt.
+# A Gram-Schmidt residual at most this times the row's own norm is linear
+# dependence.
 DEPENDENCE_TOL = 1e-12
 # Structural validation tolerance for user-supplied bases.
 STRUCTURE_TOL = 1e-8
@@ -167,46 +168,69 @@ def gram_schmidt(vectors, weights):
 
     Scaling by ``sqrt(w)`` makes this the plain dot product of flattened
     rows.  Each row is projected twice against the whole basis found so
-    far ("twice is enough": Giraud, Langou & Rozloznik, 2005), and a row
-    whose residual norm falls below ``DEPENDENCE_TOL`` is dependent and
-    dropped.  The basis comes back as an ``(m, *vectors.shape[1:])`` stack.
+    far ("twice is enough": Giraud, Langou & Rozloznik, 2005).  A row is
+    dependent and dropped when its residual norm is at most
+    ``DEPENDENCE_TOL`` times its own norm before projection, so a small
+    element counts like a large one; a row no larger than the rounding error
+    of the stack's largest row (``eps * sqrt(n)`` times its norm, ``n``
+    entries per row) is zero and dropped too.  The basis comes back as an
+    ``(m, *vectors.shape[1:])`` stack.
     Orthonormalizing a stack whose leading rows are already orthonormal
     continues their basis: the new rows span the rest of the stack's span.
     """
     vectors = np.asarray(vectors, dtype=complex)
     root = np.sqrt(np.broadcast_to(weights, vectors.shape[1:])).ravel()
+    rows = vectors.reshape(len(vectors), -1) * root
+    sizes = np.linalg.norm(rows, axis=1)
+    zero = np.finfo(float).eps * math.sqrt(root.size) * sizes.max(initial=0.0)
     basis = np.empty((len(vectors), root.size), dtype=complex)
     m = 0
-    for v in vectors.reshape(len(vectors), -1) * root:
+    for v, size in zip(rows, sizes):
+        if size <= zero:
+            continue
         for _ in range(2):
             v = v - (basis[:m].conj() @ v) @ basis[:m]
         nrm = np.linalg.norm(v)
-        if nrm >= DEPENDENCE_TOL:
+        if nrm > DEPENDENCE_TOL * size:
             basis[m] = v / nrm
             m += 1
     return (basis[:m] / root).reshape((m,) + vectors.shape[1:])
 
 
-def _traceless_onb(n):
-    """Orthonormal traceless basis of (M_n, tr/n), as an (n^2-1, n, n) stack."""
-    out = []
-    s = math.sqrt(n)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                m = np.zeros((n, n), dtype=complex)
-                m[i, j] = s
-                out.append(m)
+def _unital_onb(n):
+    """Orthonormal basis of (M_n, tr/n) as an (n^2, n, n) stack: the identity,
+    the scaled off-diagonal units in row-major order, then the traceless
+    diagonal."""
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    out = np.zeros((n * n, n, n), dtype=complex)
+    out[1 + np.arange(i.size), i, j] = math.sqrt(n)
+    diagonals = out.reshape(n * n, n * n)[:, :: n + 1]
+    diagonals[0] = 1.0
     # the diagonal units orthonormalized after the constant vector, which is dropped
     cands = np.concatenate([np.ones((1, n)), np.eye(n)])
-    out += [np.diag(v) for v in gram_schmidt(cands, np.full(n, 1.0 / n))[1:]]
-    return np.stack(out)
+    diagonals[1 + i.size :] = gram_schmidt(cands, np.full(n, 1.0 / n))[1:]
+    return out
 
 
-def _unital_onb(n):
-    """Orthonormal basis of (M_n, tr/n) with the identity first."""
-    first = np.eye(n, dtype=complex)[None]
-    return np.concatenate([first, _traceless_onb(n)])
+def _diag_stack(vectors):
+    """The (m, d, d) stack of diagonal matrices of an (m, d) stack of vectors."""
+    m, d = vectors.shape
+    out = np.zeros((m, d, d), dtype=complex)
+    out.reshape(m, d * d)[:, :: d + 1] = vectors
+    return out
+
+
+def _amplify(stack, rest):
+    """The stack ``a (x) 1_rest`` for each ``a`` of an (m, n, n) stack, written
+    into the (m, n, rest, n, rest) zeros in one strided assignment and
+    returned as an (m, n*rest, n*rest) stack; ``stack`` itself if rest is 1."""
+    if rest == 1:
+        return stack
+    m, n = stack.shape[:2]
+    out = np.zeros((m, n, rest, n, rest), dtype=complex)
+    idx = np.arange(rest)
+    out[:, :, idx, :, idx] = stack
+    return out.reshape(m, n * rest, n * rest)
 
 
 def _haar_vectors(total_dim, level):
@@ -214,11 +238,13 @@ def _haar_vectors(total_dim, level):
     block = total_dim >> (level - 1)
     half = block // 2
     scale = 2.0 ** ((level - 1) / 2.0)
-    out = np.zeros((total_dim // block, total_dim), dtype=complex)
-    for i in range(out.shape[0]):
-        out[i, i * block : i * block + half] = scale
-        out[i, i * block + half : (i + 1) * block] = -scale
-    return out
+    count = total_dim // block
+    # row i is nonzero on block i only: the diagonal of a (count, count, block) view
+    out = np.zeros((count, count, block), dtype=complex)
+    idx = np.arange(count)
+    out[idx, idx, :half] = scale
+    out[idx, idx, half:] = -scale
+    return out.reshape(count, total_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +419,7 @@ class Tower:
         rest = self.dim // d_sub
         x4 = x.reshape(d_sub, rest, d_sub, rest)
         pt = np.einsum("arbr->ab", x4) / rest
-        out = np.zeros_like(x).reshape(d_sub, rest, d_sub, rest)
-        idx = np.arange(rest)
-        out[:, idx, :, idx] = pt[None, :, :]
-        return out.reshape(self.dim, self.dim)
+        return _amplify(pt[None], rest)[0]
 
     # -- bases ---------------------------------------------------------------
 
@@ -414,11 +437,9 @@ class Tower:
 
     def _build_level(self, k):
         if self.spec.kind == "abelian_dyadic":
-            return np.stack([np.diag(v) for v in self._level_diag_basis(k)])
+            return _diag_stack(self._level_diag_basis(k))
         d_sub = self._sub_dims[k]
-        rest = self.dim // d_sub
-        eye = np.eye(rest, dtype=complex)
-        return np.stack([np.kron(b, eye) for b in _unital_onb(d_sub)])
+        return _amplify(_unital_onb(d_sub), self.dim // d_sub)
 
     def _level_diag_basis(self, k):
         vecs = [np.ones(self.dim, dtype=complex)]
@@ -443,21 +464,15 @@ class Tower:
         if k == 1:
             return self.level_basis(1)
         if self.spec.kind == "abelian_dyadic":
-            return np.stack([np.diag(v) for v in _haar_vectors(self.dim, k)])
+            return _diag_stack(_haar_vectors(self.dim, k))
         if self.spec.kind == "tensor":
+            # (sqrt(d) E_ij) (x) w (x) 1_rest over the units E_ij of level k-1
+            # in row-major order and the traceless basis w of the k-th factor
             d_prev = self._sub_dims[k - 1]
             nk = self.factor_dims[k - 1]
-            rest = self.dim // (d_prev * nk)
-            eye_rest = np.eye(rest, dtype=complex)
-            scale = math.sqrt(d_prev)
-            out = []
-            for i in range(d_prev):
-                for j in range(d_prev):
-                    unit = np.zeros((d_prev, d_prev), dtype=complex)
-                    unit[i, j] = scale
-                    for w in _traceless_onb(nk):
-                        out.append(np.kron(np.kron(unit, w), eye_rest))
-            return np.stack(out)
+            units = np.eye(d_prev * d_prev, dtype=complex).reshape(-1, d_prev, d_prev)
+            units *= math.sqrt(d_prev)
+            return _amplify(np.kron(units, _unital_onb(nk)[1:]), self.dim // (d_prev * nk))
         # Gram-Schmidt continued past level k-1 spans the rest of level k
         lower = self.level_basis(k - 1)
         both = np.concatenate([lower, self.level_basis(k)])

@@ -26,7 +26,6 @@ __all__ = [
     "hardy_row_norm",
     "hardy_mixed_max",
     "hardy_mixed_upper",
-    "hd_norm",
     "bmo_column_norm",
     "bmo_norm",
     "lipschitz_column_lower",
@@ -324,18 +323,6 @@ def hardy_mixed_upper(m: MartingaleSequence, p, refine=True):
                 decomposition[k] = _interpolate(base, *accepted)
                 current[k] = _gram_pair(*decomposition[k])
     return best, decomposition
-
-
-def hd_norm(m: MartingaleSequence, p) -> float:
-    """Diagonal Hardy norm ``(sum_k ||dx_k||_p^p)^{1/p}``; ``max_k ||dx_k||_inf``
-    for ``p = inf``."""
-    p = float(p)
-    if p <= 0:
-        raise ValueError("p must be positive")
-    norms = np.array([lp_norm(singular_value_function(m.tower, dx), p) for dx in m.differences])
-    if p == math.inf:
-        return float(norms.max())
-    return _root_power_sum(norms, np.ones(norms.size), p, p)
 
 
 def bmo_column_norm(m: MartingaleSequence) -> float:

@@ -1,10 +1,13 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ncmart.algebra import (
     FiltrationSpec,
+    Tower,
     TowerError,
     build_tower,
     gram_schmidt,
@@ -53,6 +56,25 @@ def test_gram_schmidt_drops_dependent():
     assert np.allclose(basis[0], [2.0, 0.0], atol=1e-12)
     g = np.einsum("j,aj,bj->ab", w, basis, basis.conj())
     assert np.allclose(g, np.eye(2), atol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1.0, 1e8])
+def test_gram_schmidt_dependence_is_relative_to_the_row(scale):
+    """A row is dependent when its residual is small against its own norm,
+    whatever that norm is; a zero row and a row of rounding size are dropped."""
+    w = np.array([0.5, 0.5])
+    rows = scale * np.array([[1.0, 0.0], [0.0, 0.0], [1e-17, -1e-17], [3.0, 0.0], [1.0, 2.0],
+                             [2.0, 5.0]])
+    basis = gram_schmidt(rows, w)
+    assert basis.shape == (2, 2)
+    assert np.allclose(np.einsum("j,aj,bj->ab", w, basis, basis.conj()), np.eye(2), atol=1e-12)
+
+
+def test_custom_tower_keeps_a_small_spanning_element():
+    for s in (1.0, 1e-11, 1e-13):
+        t = build_tower(FiltrationSpec.custom([[s * np.diag([1.0, 0.0])]]))
+        assert t.level_dim(1) == 2
+
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +230,14 @@ def test_difference_basis_orthonormal_and_located(any_tower):
             assert t.norm2(t.conditional_expectation(k - 1, b)) < 1e-8
 
 
-def test_difference_dimensions(tensor222, abelian3):
+def test_difference_dimensions(tensor222, abelian3, custom4):
     # levels 1,2,3 of the 2x2x2 tensor tower: 4, 12, 48 = dim growth
     assert [tensor222.difference_basis(k).shape[0] for k in (1, 2, 3)] == [4, 12, 48]
     # abelian: first level is 2-dimensional, then Haar steps double
     assert [abelian3.difference_basis(k).shape[0] for k in (1, 2, 3)] == [2, 2, 4]
+    # custom: C + C, the diagonal of M_4, then M_4
+    assert [custom4.level_dim(k) for k in (1, 2, 3)] == [2, 4, 16]
+    assert [custom4.difference_basis(k).shape[0] for k in (1, 2, 3)] == [2, 2, 12]
 
 
 def test_abelian_difference_matches_gram_schmidt(abelian3):
@@ -228,6 +253,100 @@ def test_abelian_difference_matches_gram_schmidt(abelian3):
         # both span the same subspace: mutual projections are isometric
         overlap = np.array([[t.inner(a, b) for b in closed] for a in generic])
         assert np.allclose(overlap.conj().T @ overlap, np.eye(closed.shape[0]), atol=1e-9)
+
+
+def _reference_unital_onb(n):
+    """Identity, sqrt(n) E_ij (i != j) in row-major order, traceless diagonal."""
+    out = [np.eye(n, dtype=complex)]
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                unit = np.zeros((n, n), dtype=complex)
+                unit[i, j] = math.sqrt(n)
+                out.append(unit)
+    cands = np.concatenate([np.ones((1, n)), np.eye(n)])
+    out += [np.diag(v) for v in gram_schmidt(cands, np.full(n, 1.0 / n))[1:]]
+    return np.stack(out)
+
+
+def _reference_level(t, k):
+    d_sub = math.prod(t.factor_dims[:k])
+    eye = np.eye(t.dim // d_sub, dtype=complex)
+    return np.stack([np.kron(b, eye) for b in _reference_unital_onb(d_sub)])
+
+
+def _reference_difference(t, k):
+    if k == 1:
+        return _reference_level(t, 1)
+    d_prev = math.prod(t.factor_dims[: k - 1])
+    nk = t.factor_dims[k - 1]
+    eye = np.eye(t.dim // (d_prev * nk), dtype=complex)
+    out = []
+    for i in range(d_prev):
+        for j in range(d_prev):
+            unit = np.zeros((d_prev, d_prev), dtype=complex)
+            unit[i, j] = math.sqrt(d_prev)
+            for w in _reference_unital_onb(nk)[1:]:
+                out.append(np.kron(np.kron(unit, w), eye))
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("spec, levels", [
+    ("tensor:2,2,2", 3), ("tensor:3,4", 2), ("tensor:2,3,3", 3), ("tensor:5,3", 2),
+    ("tensor:2,2,2,2,2,2", 5),
+])
+def test_tensor_bases_equal_elementwise_kron(spec, levels):
+    """The strided builders give the per-element Kronecker products value for value."""
+    t = Tower(FiltrationSpec.parse(spec))
+    for k in range(1, levels + 1):
+        assert np.array_equal(t.level_basis(k), _reference_level(t, k))
+        assert np.array_equal(t.difference_basis(k), _reference_difference(t, k))
+
+
+def test_tensor_expectation_equals_einsum_reference(rng):
+    t = Tower(FiltrationSpec.parse("tensor:2,3,2"))
+    x = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    for n in (1, 2):
+        rest = 12 // math.prod(t.factor_dims[:n])
+        pt = np.einsum("arbr->ab", x.reshape(12 // rest, rest, 12 // rest, rest)) / rest
+        want = np.einsum("ab,rs->arbs", pt, np.eye(rest)).reshape(12, 12)
+        assert np.array_equal(t._tensor_expectation(n, x), want)
+
+
+def test_abelian_bases_equal_loop_reference():
+    t = Tower(FiltrationSpec.abelian_dyadic(5))
+
+    def haar(level):
+        block = 32 >> (level - 1)
+        scale = 2.0 ** ((level - 1) / 2.0)
+        rows = []
+        for i in range(32 // block):
+            v = np.zeros(32, dtype=complex)
+            v[i * block : i * block + block // 2] = scale
+            v[i * block + block // 2 : (i + 1) * block] = -scale
+            rows.append(v)
+        return rows
+
+    level = [np.ones(32, dtype=complex)]
+    for k in range(1, 6):
+        level += haar(k)
+        assert np.array_equal(t.level_basis(k), np.stack([np.diag(v) for v in level]))
+        if k > 1:
+            assert np.array_equal(t.difference_basis(k), np.stack([np.diag(v) for v in haar(k)]))
+
+
+@pytest.mark.parametrize("build", ["level_basis", "difference_basis"])
+def test_tensor_basis_build_peaks_below_one_and_a_half_stacks(build):
+    """Level 5 and D_5 of 2^6 are written in place, not copied from a list."""
+    t = Tower(FiltrationSpec.tensor([2] * 6))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        stack = getattr(t, build)(5)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * stack.nbytes
 
 
 def test_project_difference_orthogonality(any_tower, rng):

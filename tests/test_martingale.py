@@ -409,34 +409,6 @@ def test_hardy_mixed_upper_splits_diagonal_differences():
         assert np.allclose(dense(a) + dense(b), dense(dx))
 
 
-def test_hd_norm_single_difference(tensor222, rng):
-    dx = tensor222.project_difference(2, _random_dense(rng, 8))
-    zero = np.zeros_like(dx)
-    m = mg.MartingaleSequence(tensor222, (zero, dx))
-    for p in (0.5, 1.0, 3.0):
-        expect = lp_norm(singular_value_function(tensor222, dx), p)
-        assert mg.hd_norm(m, p) == pytest.approx(expect, rel=1e-10)
-
-
-def test_hd_norm_infinity_is_the_largest_level_norm(tensor22):
-    m = random_martingale(tensor22, "gaussian", trial_rng(3, 0, 0))
-    for scale in (0.01, 1.0):
-        scaled = m.scaled([scale] * len(m))
-        expect = max(operator_norm(dx) for dx in scaled.differences)
-        assert mg.hd_norm(scaled, math.inf) == pytest.approx(expect, rel=1e-12)
-
-
-def test_hd_norm_large_exponent_does_not_overflow(tensor22):
-    """At p = 800 the level norms' p-th powers overflow a float."""
-    m = random_martingale(tensor22, "gaussian", trial_rng(3, 0, 0))
-    p = 800.0
-    norms = np.array([lp_norm(singular_value_function(tensor22, dx), p) for dx in m.differences])
-    top = norms.max()
-    assert p * math.log(top) > math.log(sys.float_info.max)
-    expect = top * np.sum((norms / top) ** p) ** (1.0 / p)
-    assert mg.hd_norm(m, p) == pytest.approx(expect, rel=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # BMO
 
