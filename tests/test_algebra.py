@@ -76,7 +76,6 @@ def test_custom_tower_keeps_a_small_spanning_element():
         assert t.level_dim(1) == 2
 
 
-
 # ---------------------------------------------------------------------------
 # trace
 
