@@ -8,10 +8,13 @@ projections in the trace inner product ``<a, b> = tr(w b^* a)``.
 Operators are plain numpy arrays: shape ``(d, d)`` for a dense element, or
 shape ``(d,)`` for a diagonal element (used by the abelian towers and by
 large tensor towers, where a dense representation is impractical).
+``conditional_expectation`` and ``project_difference`` also take a
+``(b, d, d)`` stack of dense elements and project all of them together.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -47,6 +50,18 @@ class TowerError(ValueError):
 # specs
 
 
+def _content_digest(spanning_sets):
+    """SHA-256 of the shapes and complex entries of the spanning sets, level by level."""
+    digest = hashlib.sha256()
+    for level in spanning_sets:
+        digest.update(b"level")
+        for m in level:
+            a = np.ascontiguousarray(m, dtype=complex)
+            digest.update(repr(a.shape).encode())
+            digest.update(a.tobytes())
+    return digest.hexdigest()
+
+
 @dataclass(frozen=True)
 class FiltrationSpec:
     """Description of a filtration tower.
@@ -79,6 +94,16 @@ class FiltrationSpec:
                 raise TowerError("custom spec needs at least one spanning set")
         else:
             raise TowerError(f"unknown filtration kind {self.kind!r}")
+        object.__setattr__(self, "_key", (self.kind, self.dims, self.levels,
+                                          _content_digest(self.spanning_sets), self.weights))
+
+    # Arrays are unhashable and compare elementwise, so specs compare by a
+    # key that holds a digest of the spanning sets instead of the arrays.
+    def __eq__(self, other):
+        return isinstance(other, FiltrationSpec) and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
     @staticmethod
     def tensor(dims) -> "FiltrationSpec":
@@ -384,15 +409,28 @@ class Tower:
     # -- conditional expectations ------------------------------------------
 
     def conditional_expectation(self, n, x):
-        """Trace-orthogonal projection onto level ``n``; ``E_0 = 0``."""
+        """Trace-orthogonal projection onto level ``n``; ``E_0 = 0``.
+
+        ``x`` is one operator, dense ``(d, d)`` or diagonal ``(d,)``, or a
+        stack of dense operators ``(b, d, d)``, projected together.  Through
+        a level basis of ``m`` elements a stack costs one ``(m, d^2) @
+        (d^2, b)`` and one ``(b, m) @ (m, d^2)`` product, where ``b`` calls
+        would each read the whole basis; a dense operator is a stack of one.
+        """
         self._check_level(n, lo=0)
-        x = self._check(x)
+        x = self._check_stack(x)
         if n == 0:
             return np.zeros_like(x)
         if x.ndim == 1:
             return self._diag_expectation(n, x)
+        if x.ndim == 2:
+            return self._dense_expectation(n, x[None])[0]
+        return self._dense_expectation(n, x)
+
+    def _dense_expectation(self, n, x):
+        """``E_n`` of each operator of a (b, d, d) stack, ``n >= 1``."""
         if self.spec.kind == "abelian_dyadic":
-            return np.diag(self._diag_expectation(n, np.diagonal(x).copy()))
+            return _diag_stack(self._diag_expectation(n, np.diagonal(x, axis1=1, axis2=2)))
         if self.level_dim(n) == self.dim * self.dim:
             return x.copy()
         if self.spec.kind == "tensor" and self._stack_entries(n) > MAX_STACK_ENTRIES:
@@ -401,8 +439,9 @@ class Tower:
         # sum(conj(b) * y) = conj(sum(b * conj(y))): conjugating y instead
         # of the basis avoids copying the basis (up to 64 MB) on every call.
         flat = basis.reshape(basis.shape[0], -1)
-        coeffs = (flat @ (x * self.weights[None, :]).conj().ravel()).conj()
-        return (coeffs @ flat).reshape(x.shape)
+        ys = (x * self.weights).conj().reshape(len(x), -1)
+        coeffs = (flat @ ys.T).conj()
+        return (coeffs.T @ flat).reshape(x.shape)
 
     def _block_size(self, n):
         if self.spec.kind == "tensor":
@@ -410,16 +449,18 @@ class Tower:
         return 1 << (self.n_levels - n)
 
     def _diag_expectation(self, n, x):
+        """Block means of the diagonal(s) on the last axis of ``x``."""
         block = self._block_size(n)
-        means = x.reshape(-1, block).mean(axis=1)
-        return np.repeat(means, block)
+        means = x.reshape(*x.shape[:-1], -1, block).mean(axis=-1)
+        return np.repeat(means, block, axis=-1)
 
     def _tensor_expectation(self, n, x):
+        """Normalized partial trace over the factors above level ``n``, tensored
+        with their identity, of an operator or a (b, d, d) stack."""
         d_sub = self._sub_dims[n]
         rest = self.dim // d_sub
-        x4 = x.reshape(d_sub, rest, d_sub, rest)
-        pt = np.einsum("arbr->ab", x4) / rest
-        return _amplify(pt[None], rest)[0]
+        pt = np.einsum("...arbr->...ab", x.reshape(-1, d_sub, rest, d_sub, rest)) / rest
+        return _amplify(pt, rest).reshape(x.shape)
 
     # -- bases ---------------------------------------------------------------
 
@@ -479,8 +520,9 @@ class Tower:
         return gram_schmidt(both, self.weights)[len(lower):]
 
     def project_difference(self, k, x):
-        """Trace-orthogonal projection of ``x`` onto ``D_k``: ``(E_k - E_{k-1}) x``."""
-        x = self._check(x)
+        """Trace-orthogonal projection of ``x`` onto ``D_k``: ``(E_k - E_{k-1}) x``;
+        ``x`` is one operator or a (b, d, d) stack, as in ``conditional_expectation``."""
+        x = self._check_stack(x)
         self._check_level(k)
         return self.conditional_expectation(k, x) - self.conditional_expectation(k - 1, x)
 
@@ -515,14 +557,20 @@ class Tower:
             raise TowerError(f"operator shape {x.shape} does not match tower dim {self.dim}")
         return x
 
+    def _check_stack(self, x):
+        """``x`` as ``_check`` returns it, or a (b, d, d) stack of dense operators."""
+        x = np.asarray(x, dtype=complex)
+        if x.ndim == 3 and x.shape[1:] == (self.dim, self.dim):
+            return x
+        return self._check(x)
+
     def _check_level(self, k, lo=1):
         if not (lo <= k <= self.n_levels):
             raise TowerError(f"level {k} out of range [{lo}, {self.n_levels}]")
 
 
-# Tensor and abelian specs are hashable, so equal specs share one tower and
-# its cached bases; 32 covers a run's tower plus the 24 towers of the
-# extremal family at its default depth of 12.
+# Equal specs share one tower and its cached bases; 32 covers a run's tower
+# plus the 24 towers of the extremal family at its default depth of 12.
 @lru_cache(maxsize=32)
 def _shared_tower(spec):
     return Tower(spec)
@@ -531,7 +579,8 @@ def _shared_tower(spec):
 def build_tower(spec: FiltrationSpec) -> Tower:
     """The tower described by ``spec``.
 
-    Tensor and abelian towers are shared: equal specs give the same object.
-    A custom spec holds arrays, so it is built and validated on every call.
+    Towers are shared: equal specs give the same object.  Custom specs are
+    equal when their spanning sets have the same shapes and entries and their
+    weights agree, so a custom tower is built and validated once.
     """
-    return Tower(spec) if spec.kind == "custom" else _shared_tower(spec)
+    return _shared_tower(spec)

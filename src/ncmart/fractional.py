@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -207,23 +208,32 @@ def zeta_sequence(tower: Tower, method="auto", restarts=32, tol=1e-10, seed=0):
     """Coefficient sequence for the tower.
 
     ``method`` is ``"auto"`` (the closed form on tensor and abelian towers,
-    else the optimizer) or ``"optimize"`` (``zeta_optimize`` at every level).
+    else the optimizer, whose result is kept per tower and arguments) or
+    ``"optimize"`` (``zeta_optimize`` at every level, on every call).
     A sequence of given values is ``CoefficientSequence(values, "user")``.
     """
     if method == "auto":
         closed, provenance = _closed_form(tower)
         if closed is not None:
             return CoefficientSequence(tuple(closed), provenance)
-        method = "optimize"
+        return _auto_optimized(tower, restarts, tol, seed)
     if method != "optimize":
         raise ValueError(f"unknown coefficient method {method!r}")
+    return _optimized(tower, restarts, tol, seed)
+
+
+def _optimized(tower, restarts, tol, seed):
     vals, certs = [], []
     for k in range(1, tower.n_levels + 1):
         z, det = zeta_optimize(tower, k, restarts=restarts, tol=tol, seed=seed, return_details=True)
         vals.append(min(z, 1.0))
         certs.append(tuple(sorted(det.items())))
-    seq = CoefficientSequence(tuple(vals), "optimized", tuple(certs))
-    return seq
+    return CoefficientSequence(tuple(vals), "optimized", tuple(certs))
+
+
+# A tower's ``auto`` coefficients without a closed form are optimized once:
+# ``build_tower`` shares towers, so every run on an equal spec reuses them.
+_auto_optimized = lru_cache(maxsize=32)(_optimized)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Every experiment turns an :class:`ExperimentConfig` into a :class:`Report`;
 all but ``example`` are :class:`Experiment` declarations run by one loop.
-Per-trial randomness derives from ``(seed, grid_index, trial_index)`` so
+Per-trial randomness derives from ``(seed, grid_index, trial_index)``.  Ratio
+trials are sampled ``CHUNK`` at a time, each level of a chunk projected
+with one basis product, and the chunks do not depend on the thread count, so
 serial and threaded runs produce identical reports.  Hard per-operator
 inequalities are asserted (violations land in ``failures`` with a
 reproduction seed); theorem-level bounds only report their empirical constants.
@@ -59,6 +61,9 @@ DENOMINATOR_FLOOR = 1e-12
 # embedding-lemmas' pair checks, seeded ``(seed, stream, trial)``.
 COLUMN_STREAM = 10_000
 PAIR_STREAM = 20_000
+# Tasks of a run sampled together: each level's expectation of a chunk of
+# ratio trials is one basis product (random_martingale).
+CHUNK = 8
 
 
 class ConfigError(ValueError):
@@ -172,36 +177,47 @@ def trial_rng(seed, *indices):
     return np.random.default_rng([int(seed) & 0xFFFFFFFF] + [int(i) for i in indices])
 
 
-def random_martingale(tower: Tower, profile, rng) -> mg.MartingaleSequence:
-    """Sample a martingale: Gaussian differences, a normalized positive
-    final value, or a single difference at a given level.
+def random_martingale(tower: Tower, profile, rngs) -> list:
+    """One sampled martingale per generator of ``rngs``: Gaussian
+    differences, a normalized positive final value, or a single difference
+    at a given level.
 
-    ``gaussian`` projects one Gaussian element onto each ``D_k``;
-    ``single:k`` has ``k`` differences, zero but the last.  The constructor
-    stacks the differences into one array.
+    Each generator draws what it would draw alone, in the same order; the
+    same generator may appear more than once and then draws for each place
+    in turn.  Each level is then projected once over the whole stack
+    (``mg.level_differences``): ``gaussian`` projects its ``k``-th Gaussian
+    element onto each ``D_k``, level ``k`` taking ``E_k`` of elements ``k``
+    and ``k + 1`` of every trial together; ``positive_l1`` adapts the stack
+    of trace-one positive operators; ``single:k`` has ``k`` differences, zero
+    but the last.  Diagonal elements are projected one at a time.
+    ``ArithmeticError`` if some ``positive_l1`` draw fails.
     """
     if profile == "gaussian":
-        return mg.MartingaleSequence(tower, [
-            tower.project_difference(k, tower.random_element(rng))
-            for k in range(1, tower.n_levels + 1)])
-    if profile == "positive_l1":
-        for _ in range(16):
-            g = tower.random_element(rng)
-            if g.ndim == 1:
-                x = np.abs(g) ** 2 + 0j
-            else:
-                x = g @ g.conj().T
-            tr = tower.trace(x).real
-            if tr > 1e-9:
-                return mg.adapt(tower, x / tr)
-        raise ArithmeticError("could not draw a positive trace-one operator")
-    if profile.startswith("single:"):
+        g = np.stack([[tower.random_element(rng) for _ in range(tower.n_levels)] for rng in rngs])
+        diffs = mg.level_differences(tower, g)
+    elif profile == "positive_l1":
+        x = np.stack([_positive_l1(tower, rng) for rng in rngs])
+        diffs = mg.level_differences(tower, x[:, None])
+    elif profile.startswith("single:"):
         k = int(profile.split(":", 1)[1])
-        dx = tower.project_difference(k, tower.random_element(rng))
-        diffs = np.zeros((k, *dx.shape), dtype=complex)
-        diffs[k - 1] = dx
-        return mg.MartingaleSequence(tower, diffs)
-    raise ConfigError(f"unknown martingale profile {profile!r}")
+        g = np.stack([tower.random_element(rng) for rng in rngs])
+        dx = mg.each_operator(tower.project_difference, k, g)
+        diffs = np.zeros((len(dx), k) + dx.shape[1:], dtype=complex)
+        diffs[:, k - 1] = dx
+    else:
+        raise ConfigError(f"unknown martingale profile {profile!r}")
+    return [mg.MartingaleSequence(tower, d) for d in diffs]
+
+
+def _positive_l1(tower, rng):
+    """A positive operator of trace one, ``g g^*`` normalized for a Gaussian ``g``."""
+    for _ in range(16):
+        g = tower.random_element(rng)
+        x = np.abs(g) ** 2 + 0j if g.ndim == 1 else g @ g.conj().T
+        tr = tower.trace(x).real
+        if tr > 1e-9:
+            return x / tr
+    raise ArithmeticError("could not draw a positive trace-one operator")
 
 
 def centered_martingale(mart: mg.MartingaleSequence) -> mg.MartingaleSequence:
@@ -316,6 +332,13 @@ class Experiment:
     the extremal family reuses on centred martingales: ``extremal(run)``
     names them.  Other trials are ``trial(run, point, rng) -> Outcome``.
     ``summary(run, report, values)`` returns the experiment's own entries.
+
+    The task list is walked in chunks of ``CHUNK``; the martingales of a
+    chunk's ratio trials come from one ``random_martingale`` call, made on
+    the calling thread.  With ``threads > 1`` a chunk's trials are handed to
+    the workers and the next chunk is sampled meanwhile.  If a chunk's draw
+    fails, its trials are drawn one by one, and a trial whose own draw fails
+    becomes a ``trial_error``.
     """
 
     grids: tuple
@@ -340,13 +363,24 @@ class Experiment:
                   for ti in range(count(cfg.trials))]
         profile = cfg.profile if self.profile == "config" else self.profile
 
-        def one(task):
+        def rngs(chunk):
+            return [trial_rng(cfg.seed, stream, ti) for stream, _, ti, _ in chunk]
+
+        def sample(chunk):
+            """The martingales of a chunk of ratio trials, or the error of a
+            trial whose draw fails: a failing chunk is drawn trial by trial."""
+            try:
+                return random_martingale(tower, profile, rngs(chunk))
+            except ArithmeticError:
+                return [_sample_alone(tower, profile, rng) for rng in rngs(chunk)]
+
+        def one(task, x):
             stream, point, ti, trial = task
-            rng = trial_rng(cfg.seed, stream, ti)
             if self.profile is None:
-                return trial(run, point, rng)
+                return trial(run, point, trial_rng(cfg.seed, stream, ti))
             try:  # an arithmetic failure in a ratio trial is recorded, not raised
-                x = random_martingale(tower, profile, rng)
+                if isinstance(x, ArithmeticError):
+                    raise x
                 num, den = trial(point, x, x, run.coeffs)
             except ArithmeticError as exc:
                 return Outcome({}, [("trial_error", _coords(point), str(exc))], {"error": str(exc)})
@@ -356,8 +390,16 @@ class Experiment:
             return Outcome({stream: ratio}, failures,
                            {"numerator": num, "denominator": den, "ratio": ratio})
 
+        # Chunks are sampled in order on this thread; with workers, a chunk's
+        # trials are evaluated while the next chunk is sampled.
         with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:  # no thread starts unless used
-            outcomes = list((pool.map if threads > 1 else map)(one, tasks))
+            pending = []
+            for start in range(0, len(tasks), CHUNK):
+                chunk = tasks[start:start + CHUNK]
+                xs = [None] * len(chunk) if self.profile is None else sample(chunk)
+                pending += [pool.submit(one, task, x) if threads > 1 else one(task, x)
+                            for task, x in zip(chunk, xs)]
+            outcomes = [p.result() for p in pending] if threads > 1 else pending
 
         report = Report(cfg.experiment, cfg.to_json())
         values = {}
@@ -381,6 +423,14 @@ class Experiment:
             ]
         report.summary.update(self.summary(run, report, values))
         return report
+
+
+def _sample_alone(tower, profile, rng):
+    """The martingale of one trial drawn by itself, or the error of its draw."""
+    try:
+        return random_martingale(tower, profile, [rng])[0]
+    except ArithmeticError as exc:
+        return exc
 
 
 def _extremal_row(spec, tower, mart, coeffs):
@@ -458,7 +508,9 @@ def _pair_trial(run, point, rng):
               - lams * distribution(s12, lams))
     failures = [("quasi_triangle", {"lambda": float(lams[i])}, float(slacks[i]))
                 for i in np.flatnonzero(slacks < -HARD_SLACK)]
-    pair = [random_martingale(tower, "gaussian", rng) for _ in range(2)]
+    # one call per martingale keeps each one's arithmetic that of a lone
+    # trial; stacked, the rounding-size self-adjointness error would move
+    pair = [random_martingale(tower, "gaussian", [rng])[0] for _ in range(2)]
     res = selfadjointness_check(*pair, 0.5, run.coeffs)
     if not res["ok"]:
         failures.append(("selfadjoint", {}, res["abs_error"]))
@@ -477,7 +529,7 @@ def _embedding_summary(run, report, values):
 
 
 def _singular_value_trial(run, alpha, rng):
-    a = random_martingale(run.tower, "gaussian", rng)
+    a, = random_martingale(run.tower, "gaussian", [rng])
     y1 = fractional_integral(a, alpha, run.coeffs)
     y2 = iterated_transform(a, 2 * alpha, run.coeffs)
     s_a, s_1, s_2 = (singular_value_function(run.tower, mg.column_square_function(m))

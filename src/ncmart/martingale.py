@@ -21,6 +21,8 @@ from .spectral import (
 __all__ = [
     "MartingaleSequence",
     "adapt",
+    "each_operator",
+    "level_differences",
     "column_square_function",
     "hardy_column_norm",
     "hardy_row_norm",
@@ -117,10 +119,41 @@ class MartingaleSequence:
 
 def adapt(tower: Tower, x) -> MartingaleSequence:
     """Canonical martingale of ``x``: differences ``E_k(x) - E_{k-1}(x)``, ``k = 1..n_levels``."""
-    n = tower.n_levels
     x = tower._check(x)
-    levels = [np.zeros_like(x)] + [tower.conditional_expectation(k, x) for k in range(1, n + 1)]
-    return MartingaleSequence(tower, np.diff(levels, axis=0))
+    return MartingaleSequence(tower, level_differences(tower, x[None, None])[0])
+
+
+def each_operator(fn, k, stack):
+    """``fn(k, x)`` for every operator ``x`` of a stack: a dense (b, d, d)
+    stack in one call, a diagonal (b, d) stack one operator at a time (a
+    diagonal expectation is a reshape and a mean; a product gains nothing)."""
+    return fn(k, stack) if stack.ndim == 3 else np.stack([fn(k, x) for x in stack])
+
+
+def level_differences(tower: Tower, sources):
+    """The differences ``E_k s_k - E_{k-1} s_k``, ``k = 1..n_levels``, of each
+    row of a (b, c, ...) stack of operators, as a (b, n_levels, ...) array.
+
+    ``s_k`` is ``sources[:, k-1]`` when ``c`` is ``n_levels``, and
+    ``sources[:, 0]`` at every level when ``c`` is 1, which makes the row the
+    differences of ``adapt``.  Level ``k`` takes ``E_k`` of ``s_k`` and
+    ``s_{k+1}`` of every row together (``each_operator``) and writes its
+    differences in place, so only one level's expectations are held.  A
+    lone row's two operators go one at a time: a product with two columns
+    reads a level basis no faster than two matrix-vector products.
+    """
+    per_level = sources.shape[1] > 1
+    out = np.empty((len(sources), tower.n_levels) + sources.shape[2:], dtype=complex)
+    below = 0.0  # E_{k-1} s_k
+    for k in range(1, tower.n_levels + 1):
+        s = sources[:, k - 1 : k + 1] if per_level else sources[:, :1]
+        parts = [s] if len(s) > 1 else np.split(s, s.shape[1], axis=1)
+        e = np.concatenate([each_operator(tower.conditional_expectation, k,
+                                          p.reshape(-1, *p.shape[2:])).reshape(p.shape)
+                            for p in parts], axis=1)
+        np.subtract(e[:, 0], below, out=out[:, k - 1])
+        below = e[:, -1]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,55 @@ def test_expectation_level_out_of_range(tensor22):
 
 
 # ---------------------------------------------------------------------------
+# stacked expectations
+
+
+def _weighted_chain():
+    """``custom4``'s block-diagonal chain inside M_4 under the trace weights (.1, .2, .3, .4)."""
+    e = np.eye(4, dtype=complex)
+    p = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
+    units = list(np.eye(16, dtype=complex).reshape(16, 4, 4))
+    return build_tower(FiltrationSpec.custom([[p, e - p], [np.diag(r) for r in e], units],
+                                             weights=[0.1, 0.2, 0.3, 0.4]))
+
+
+@pytest.mark.parametrize("spec, levels", [
+    ("tensor:2,2,2", None),                # basis path; level 3 is the full level
+    ("tensor:2,2,2,2,2,2,2", (6, 7)),      # level 6 partial trace (2^26 stack entries), full 7
+    ("weighted", None),                    # weighted custom tower, basis path and full level
+    ("abelian:3", None),                   # dense operators on an abelian tower
+])
+def test_stacked_expectation_matches_one_operator_at_a_time(spec, levels, rng):
+    t = _weighted_chain() if spec == "weighted" else build_tower(FiltrationSpec.parse(spec))
+    if spec == "tensor:2,2,2,2,2,2,2":
+        assert t.level_dim(6) * t.dim**2 == 1 << 26
+    x = rng.standard_normal((3, t.dim, t.dim)) + 1j * rng.standard_normal((3, t.dim, t.dim))
+    for k in levels or range(t.n_levels + 1):
+        for fn in ([t.conditional_expectation] if k == 0 else
+                   [t.conditional_expectation, t.project_difference]):
+            stacked = fn(k, x)
+            assert stacked.shape == x.shape
+            for xi, si in zip(x, stacked):
+                assert np.abs(si - fn(k, xi)).max() <= 1e-13
+    if spec == "abelian:3":  # each operator's expectation is that of its diagonal
+        for k in range(1, 4):
+            diag = np.stack([t.conditional_expectation(k, np.diagonal(xi).copy()) for xi in x])
+            assert np.array_equal(np.diagonal(t.conditional_expectation(k, x), axis1=1, axis2=2),
+                                  diag)
+
+
+def test_stacked_expectation_refuses_other_shapes(tensor222):
+    with pytest.raises(TowerError):
+        tensor222.conditional_expectation(1, np.zeros((2, 2, 8, 8), dtype=complex))
+    with pytest.raises(TowerError):
+        tensor222.project_difference(1, np.zeros((2, 2, 8, 8), dtype=complex))
+    with pytest.raises(TowerError):
+        tensor222.conditional_expectation(1, np.zeros((2, 4, 4), dtype=complex))
+    with pytest.raises(TowerError):  # stacks are for expectations only
+        tensor222.trace(np.zeros((2, 8, 8), dtype=complex))
+
+
+# ---------------------------------------------------------------------------
 # bases and difference subspaces
 
 
@@ -534,7 +583,15 @@ def test_build_tower_shares_tensor_and_abelian_towers():
         FiltrationSpec.tensor([2, 2]).to_json())
 
 
-def test_build_tower_rebuilds_custom_specs():
+def test_build_tower_shares_equal_custom_specs():
     p = np.diag([1.0, 0.0]).astype(complex)
-    spec = FiltrationSpec.custom([[p, np.eye(2) - p]])
-    assert build_tower(spec) is not build_tower(spec)
+    tower = build_tower(FiltrationSpec.custom([[p, np.eye(2) - p]]))
+    # equal contents in new arrays (and real dtype) give the same tower
+    assert build_tower(FiltrationSpec.custom([[p.real.copy(), np.eye(2) - p]])) is tower
+    assert FiltrationSpec.custom([[p, np.eye(2) - p]]) == tower.spec
+    for other in (FiltrationSpec.custom([[p, np.eye(2) - p]], weights=[0.25, 0.75]),
+                  FiltrationSpec.custom([[np.eye(2) - p, p]]),
+                  FiltrationSpec.custom([[p], [p, np.eye(2) - p]])):
+        assert other != tower.spec
+        assert build_tower(other) is not tower
+    assert tower.spec != FiltrationSpec.tensor([2])

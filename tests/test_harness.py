@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import ncmart.harness as harness
 import ncmart.martingale as mg
 import ncmart.spectral as spectral
 from ncmart.algebra import FiltrationSpec, Tower, build_tower
@@ -124,7 +125,7 @@ def any_tower(request):
 
 def test_gaussian_profile_adapted(any_tower):
     t = any_tower
-    m = random_martingale(t, "gaussian", trial_rng(0, 1))
+    m = random_martingale(t, "gaussian", [trial_rng(0, 1)])[0]
     assert len(m) == t.n_levels
     for k, dx in enumerate(m.differences, start=1):
         assert t.norm2(t.project_difference(k, dx) - dx) < 1e-9
@@ -132,7 +133,7 @@ def test_gaussian_profile_adapted(any_tower):
 
 def test_positive_profile_normalized(any_tower):
     t = any_tower
-    m = random_martingale(t, "positive_l1", trial_rng(0, 2))
+    m = random_martingale(t, "positive_l1", [trial_rng(0, 2)])[0]
     x = t._dense(m.final)
     assert abs(t.trace(x).real - 1.0) < 1e-10
     assert np.linalg.eigvalsh(x).min() > -1e-10
@@ -140,7 +141,7 @@ def test_positive_profile_normalized(any_tower):
 
 def test_single_difference_profile(any_tower):
     t = any_tower
-    m = random_martingale(t, "single:2", trial_rng(0, 3))
+    m = random_martingale(t, "single:2", [trial_rng(0, 3)])[0]
     assert t.norm2(m.differences[0]) == 0
     dx = m.differences[1]
     assert t.norm2(t.project_difference(2, dx) - dx) < 1e-9
@@ -148,23 +149,92 @@ def test_single_difference_profile(any_tower):
 
 def test_unknown_profile(tensor222):
     with pytest.raises(ConfigError):
-        random_martingale(tensor222, "bogus", trial_rng(0))
+        random_martingale(tensor222, "bogus", [trial_rng(0)])
 
 
 def test_profile_replay(any_tower):
-    a = random_martingale(any_tower, "gaussian", trial_rng(9, 0))
-    b = random_martingale(any_tower, "gaussian", trial_rng(9, 0))
+    a = random_martingale(any_tower, "gaussian", [trial_rng(9, 0)])[0]
+    b = random_martingale(any_tower, "gaussian", [trial_rng(9, 0)])[0]
     for x, y in zip(a.differences, b.differences):
         assert np.array_equal(x, y)
 
 
 def test_centered_martingale(any_tower):
     t = any_tower
-    m = random_martingale(t, "positive_l1", trial_rng(1, 1))
+    m = random_martingale(t, "positive_l1", [trial_rng(1, 1)])[0]
     c = centered_martingale(m)
     assert abs(t.trace(c.final)) < 1e-12
     diff = t._dense(m.final) - t._dense(c.final)
     assert t.norm2(diff - np.eye(t.dim) * t.trace(m.final)) < 1e-10
+
+
+@pytest.mark.parametrize("tower_name", ["tensor222", "abelian3", "custom4"])
+@pytest.mark.parametrize("profile", ["gaussian", "positive_l1", "single:2"])
+def test_stacked_sampling_equals_one_generator_at_a_time(request, tower_name, profile):
+    t = request.getfixturevalue(tower_name)
+    seeds = [(4, 0, i) for i in range(5)]
+    together = random_martingale(t, profile, [trial_rng(*s) for s in seeds])
+    assert len(together) == len(seeds)
+    for s, m in zip(seeds, together):
+        alone = random_martingale(t, profile, [trial_rng(*s)])[0]
+        assert m.differences.shape == alone.differences.shape
+        if tower_name == "abelian3":  # diagonal draws are projected one at a time
+            assert np.array_equal(m.differences, alone.differences)
+        else:
+            assert np.abs(m.differences - alone.differences).max() <= 1e-13
+
+
+def test_gaussian_sampling_projects_each_draw_in_order(tensor222):
+    """Trial i's k-th Gaussian element, drawn from its own generator, lies
+    under its k-th difference: what one trial drew before stacking."""
+    t = tensor222
+    together = random_martingale(t, "gaussian", [trial_rng(6, 0, i) for i in range(3)])
+    for i, m in enumerate(together):
+        rng = trial_rng(6, 0, i)
+        for k, dx in enumerate(m.differences, start=1):
+            want = t.project_difference(k, t.random_element(rng))
+            assert np.abs(dx - want).max() <= 1e-13
+
+
+def test_failed_positive_draw_marks_only_its_own_trial(monkeypatch):
+    """A draw that fails inside a chunk is a trial error of its trial alone;
+    the chunk's other trials are drawn one by one and keep their ratios."""
+    cfg = _cfg("weak-type", trials=5)
+    clean = run_ratio_experiment(cfg)
+    failing = []
+    real_rng, real_draw = harness.trial_rng, harness._positive_l1
+
+    def rng(seed, stream, ti):
+        g = real_rng(seed, stream, ti)
+        if (stream, ti) == (1, 2):
+            failing.append(g)
+        return g
+
+    def draw(tower, g):
+        if any(g is f for f in failing):
+            raise ArithmeticError("could not draw a positive trace-one operator")
+        return real_draw(tower, g)
+
+    monkeypatch.setattr(harness, "trial_rng", rng)
+    monkeypatch.setattr(harness, "_positive_l1", draw)
+    r = run_ratio_experiment(cfg)
+    assert [(f["check"], f["grid"], f["trial"]) for f in r.failures] == [
+        ("trial_error", [0.5], 2)]
+    for want, got in zip(clean.trials, r.trials):
+        assert (got["grid"], got["trial"]) == (want["grid"], want["trial"])
+        if (got["grid"], got["trial"]) == (1, 2):
+            assert "error" in got and "ratio" not in got
+        else:
+            assert math.isclose(got["ratio"], want["ratio"], rel_tol=1e-12)
+
+
+def test_chunked_lp_lq_is_identical_serial_and_threaded():
+    cfg = _cfg("lp-lq", trials=9)  # 27 ratio tasks: chunks of 8, 8, 8 and 3
+    assert 3 < 27 / harness.CHUNK <= 4
+    a = run_ratio_experiment(cfg).to_json()
+    b = run_ratio_experiment(cfg, threads=2).to_json()
+    a.pop("wall_time"), b.pop("wall_time")
+    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

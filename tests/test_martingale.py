@@ -183,7 +183,7 @@ def test_mixed_upper_bound_matches_public_norms(request, tower_name):
     """The cached-Gram objective agrees with the public column and row norms."""
     tower = request.getfixturevalue(tower_name)
     for seed in range(6):
-        m = random_martingale(tower, "gaussian", trial_rng(seed, 0, 0))
+        m = random_martingale(tower, "gaussian", [trial_rng(seed, 0, 0)])[0]
         for p in (1.0, 1.5):
             bound, decomp = mg.hardy_mixed_upper(m, p)
             ys = mg.MartingaleSequence(tower, tuple(a for a, _ in decomp))
@@ -330,7 +330,7 @@ def test_mixed_upper_phases_match_one_trial_at_a_time(request, tower_name):
     """Stacked phases make the sequential search's decisions, bit for bit."""
     tower = request.getfixturevalue(tower_name)
     for seed in range(16):
-        m = random_martingale(tower, "gaussian", trial_rng(seed, 0, 0))
+        m = random_martingale(tower, "gaussian", [trial_rng(seed, 0, 0)])[0]
         for p in (1.0, 1.5):
             bound, decomp = mg.hardy_mixed_upper(m, p)
             want, want_decomp = _mixed_upper_one_trial_at_a_time(m, p)
@@ -340,7 +340,7 @@ def test_mixed_upper_phases_match_one_trial_at_a_time(request, tower_name):
 
 
 def test_mixed_upper_builds_no_step_function(tensor222, monkeypatch):
-    m = random_martingale(tensor222, "gaussian", trial_rng(3, 0, 0))
+    m = random_martingale(tensor222, "gaussian", [trial_rng(3, 0, 0)])[0]
 
     def refuse(values, weights):
         raise AssertionError("step function built")
@@ -353,7 +353,7 @@ def test_mixed_upper_builds_no_step_function(tensor222, monkeypatch):
 def test_mixed_upper_factorizes_each_side_once(tensor222, monkeypatch):
     """Two eigh calls per level for the splits, then one eigenvalue stack
     holding both sides of the five uniform candidates."""
-    m = random_martingale(tensor222, "gaussian", trial_rng(3, 0, 0))
+    m = random_martingale(tensor222, "gaussian", [trial_rng(3, 0, 0)])[0]
     calls = _counting_solvers(monkeypatch)
     mg.hardy_mixed_upper(m, 1.0, refine=False)
     n, uniform_candidates = len(m), 5
@@ -363,7 +363,7 @@ def test_mixed_upper_factorizes_each_side_once(tensor222, monkeypatch):
 def test_mixed_upper_eigensolver_failure_is_numerical(tensor222, monkeypatch):
     """A failure of the stacked eigenvalue call is numerical, and a trial error;
     the stack's first matrix is then retried alone and named."""
-    m = random_martingale(tensor222, "gaussian", trial_rng(3, 0, 0))
+    m = random_martingale(tensor222, "gaussian", [trial_rng(3, 0, 0)])[0]
     calls = _counting_solvers(monkeypatch, fail_below="_gram_lp_norms")
     with pytest.raises(ArithmeticError, match="eigensolver failed on operator sha256:"):
         mg.hardy_mixed_upper(m, 1.0)
@@ -375,7 +375,7 @@ def test_mixed_upper_eigensolver_failure_is_numerical(tensor222, monkeypatch):
 
 def test_split_candidates_eigensolver_failure_is_numerical(tensor222, monkeypatch):
     """The polar-support factorization fails as a numerical error."""
-    m = random_martingale(tensor222, "gaussian", trial_rng(3, 0, 0))
+    m = random_martingale(tensor222, "gaussian", [trial_rng(3, 0, 0)])[0]
     monkeypatch.setattr(mg, "_sqrt_psd", lambda g: g)
     calls = _counting_solvers(monkeypatch, fail_below="_split_candidates")
     with pytest.raises(ArithmeticError, match="eigensolver failed on operator sha256:"):
@@ -399,7 +399,7 @@ def test_square_root_eigensolver_failure_is_trial_error(experiment, trial_errors
                    "with a dense a, which broadcasts to a wrong matrix")
 def test_hardy_mixed_upper_splits_diagonal_differences():
     tower = build_tower(FiltrationSpec.abelian_dyadic(6))
-    m = random_martingale(tower, "gaussian", trial_rng(5, 0, 0))
+    m = random_martingale(tower, "gaussian", [trial_rng(5, 0, 0)])[0]
     _, decomp = mg.hardy_mixed_upper(m, 1.0)
 
     def dense(y):
