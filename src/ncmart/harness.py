@@ -192,12 +192,20 @@ def random_martingale(tower: Tower, profile, rngs) -> list:
     but the last.  Diagonal elements are projected one at a time.
     ``ArithmeticError`` if some ``positive_l1`` draw fails.
     """
+    n = tower.n_levels
     if profile == "gaussian":
-        g = np.stack([[tower.random_element(rng) for _ in range(tower.n_levels)] for rng in rngs])
-        diffs = mg.level_differences(tower, g)
+        diffs = None
+        for i, rng in enumerate(rngs):
+            for k in range(n):
+                g = tower.random_element(rng)
+                if diffs is None:
+                    diffs = np.empty((len(rngs), n) + g.shape, dtype=complex)
+                diffs[i, k] = g
+        # each level reads its Gaussian elements before it overwrites them
+        mg.level_differences(tower, diffs, diffs)
     elif profile == "positive_l1":
         x = np.stack([_positive_l1(tower, rng) for rng in rngs])
-        diffs = mg.level_differences(tower, x[:, None])
+        diffs = mg.level_differences(tower, x[:, None], np.empty((len(x), n) + x.shape[1:], complex))
     elif profile.startswith("single:"):
         k = int(profile.split(":", 1)[1])
         g = np.stack([tower.random_element(rng) for rng in rngs])
@@ -390,15 +398,17 @@ class Experiment:
             return Outcome({stream: ratio}, failures,
                            {"numerator": num, "denominator": den, "ratio": ratio})
 
+        def start(chunk, pool):
+            # a chunk's martingales are released once its trials have run
+            xs = [None] * len(chunk) if self.profile is None else sample(chunk)
+            return [pool.submit(one, task, x) if threads > 1 else one(task, x)
+                    for task, x in zip(chunk, xs)]
+
         # Chunks are sampled in order on this thread; with workers, a chunk's
         # trials are evaluated while the next chunk is sampled.
         with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:  # no thread starts unless used
-            pending = []
-            for start in range(0, len(tasks), CHUNK):
-                chunk = tasks[start:start + CHUNK]
-                xs = [None] * len(chunk) if self.profile is None else sample(chunk)
-                pending += [pool.submit(one, task, x) if threads > 1 else one(task, x)
-                            for task, x in zip(chunk, xs)]
+            pending = [p for i in range(0, len(tasks), CHUNK)
+                       for p in start(tasks[i:i + CHUNK], pool)]
             outcomes = [p.result() for p in pending] if threads > 1 else pending
 
         report = Report(cfg.experiment, cfg.to_json())

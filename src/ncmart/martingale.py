@@ -120,7 +120,8 @@ class MartingaleSequence:
 def adapt(tower: Tower, x) -> MartingaleSequence:
     """Canonical martingale of ``x``: differences ``E_k(x) - E_{k-1}(x)``, ``k = 1..n_levels``."""
     x = tower._check(x)
-    return MartingaleSequence(tower, level_differences(tower, x[None, None])[0])
+    out = np.empty((1, tower.n_levels) + x.shape, dtype=complex)
+    return MartingaleSequence(tower, level_differences(tower, x[None, None], out)[0])
 
 
 def each_operator(fn, k, stack):
@@ -130,20 +131,21 @@ def each_operator(fn, k, stack):
     return fn(k, stack) if stack.ndim == 3 else np.stack([fn(k, x) for x in stack])
 
 
-def level_differences(tower: Tower, sources):
+def level_differences(tower: Tower, sources, out):
     """The differences ``E_k s_k - E_{k-1} s_k``, ``k = 1..n_levels``, of each
-    row of a (b, c, ...) stack of operators, as a (b, n_levels, ...) array.
+    row of a (b, c, ...) stack of operators, written into the (b, n_levels,
+    ...) array ``out`` and returned.
 
     ``s_k`` is ``sources[:, k-1]`` when ``c`` is ``n_levels``, and
     ``sources[:, 0]`` at every level when ``c`` is 1, which makes the row the
     differences of ``adapt``.  Level ``k`` takes ``E_k`` of ``s_k`` and
-    ``s_{k+1}`` of every row together (``each_operator``) and writes its
-    differences in place, so only one level's expectations are held.  A
-    lone row's two operators go one at a time: a product with two columns
-    reads a level basis no faster than two matrix-vector products.
+    ``s_{k+1}`` of every row together (``each_operator``) before it writes
+    ``out[:, k-1]``, so ``out`` may be ``sources`` itself, and only one
+    level's expectations are held.  A lone row's two operators go one at a
+    time: a product with two columns reads a level basis no faster than two
+    matrix-vector products.
     """
     per_level = sources.shape[1] > 1
-    out = np.empty((len(sources), tower.n_levels) + sources.shape[2:], dtype=complex)
     below = 0.0  # E_{k-1} s_k
     for k in range(1, tower.n_levels + 1):
         s = sources[:, k - 1 : k + 1] if per_level else sources[:, :1]

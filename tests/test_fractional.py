@@ -153,6 +153,31 @@ def test_optimizer_custom_tower(custom4):
     assert zeta_optimize(custom4, 1, restarts=8) == pytest.approx(0.5, rel=1e-6)
 
 
+def test_auto_sequence_is_optimized_once_per_tower(monkeypatch):
+    """Equal custom specs share one tower, whose optimized ``auto``
+    coefficients are computed once; ``optimize`` always reruns."""
+    import ncmart.fractional as fractional
+
+    calls = []
+    real = fractional.zeta_optimize
+
+    def counting(tower, k, **kw):
+        calls.append(k)
+        return real(tower, k, **kw)
+
+    monkeypatch.setattr(fractional, "zeta_optimize", counting)
+
+    def spec():  # a chain no other test builds, so nothing is cached yet
+        p = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        return FiltrationSpec.custom([[p], [np.diag(r) for r in np.eye(3)]])
+
+    first = zeta_sequence(build_tower(spec()), "auto", restarts=4)
+    again = zeta_sequence(build_tower(spec()), "auto", restarts=4)
+    assert again is first and calls == [1, 2]
+    zeta_sequence(build_tower(spec()), "optimize", restarts=4)
+    assert calls == [1, 2, 1, 2]
+
+
 # ---------------------------------------------------------------------------
 # transforms
 
