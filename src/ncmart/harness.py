@@ -189,7 +189,8 @@ def random_martingale(tower: Tower, profile, rngs) -> list:
     element onto each ``D_k``, level ``k`` taking ``E_k`` of elements ``k``
     and ``k + 1`` of every trial together; ``positive_l1`` adapts the stack
     of trace-one positive operators; ``single:k`` has ``k`` differences, zero
-    but the last.  Diagonal elements are projected one at a time.
+    but the last.  Diagonal elements take no basis product: their
+    expectations are block means, over the whole stack at once.
     ``ArithmeticError`` if some ``positive_l1`` draw fails.
     """
     n = tower.n_levels
@@ -205,11 +206,13 @@ def random_martingale(tower: Tower, profile, rngs) -> list:
         mg.level_differences(tower, diffs, diffs)
     elif profile == "positive_l1":
         x = np.stack([_positive_l1(tower, rng) for rng in rngs])
-        diffs = mg.level_differences(tower, x[:, None], np.empty((len(x), n) + x.shape[1:], complex))
+        diffs = np.empty((len(x), n) + x.shape[1:], dtype=complex)
+        mg.level_differences(tower, x[:, None], diffs)
     elif profile.startswith("single:"):
         k = int(profile.split(":", 1)[1])
         g = np.stack([tower.random_element(rng) for rng in rngs])
-        dx = mg.each_operator(tower.project_difference, k, g)
+        dx = (tower.project_difference(k, g) if g.ndim == 3
+              else np.stack([tower.project_difference(k, x) for x in g]))
         diffs = np.zeros((len(dx), k) + dx.shape[1:], dtype=complex)
         diffs[:, k - 1] = dx
     else:

@@ -21,7 +21,6 @@ from .spectral import (
 __all__ = [
     "MartingaleSequence",
     "adapt",
-    "each_operator",
     "level_differences",
     "column_square_function",
     "hardy_column_norm",
@@ -124,13 +123,6 @@ def adapt(tower: Tower, x) -> MartingaleSequence:
     return MartingaleSequence(tower, level_differences(tower, x[None, None], out)[0])
 
 
-def each_operator(fn, k, stack):
-    """``fn(k, x)`` for every operator ``x`` of a stack: a dense (b, d, d)
-    stack in one call, a diagonal (b, d) stack one operator at a time (a
-    diagonal expectation is a reshape and a mean; a product gains nothing)."""
-    return fn(k, stack) if stack.ndim == 3 else np.stack([fn(k, x) for x in stack])
-
-
 def level_differences(tower: Tower, sources, out):
     """The differences ``E_k s_k - E_{k-1} s_k``, ``k = 1..n_levels``, of each
     row of a (b, c, ...) stack of operators, written into the (b, n_levels,
@@ -139,20 +131,24 @@ def level_differences(tower: Tower, sources, out):
     ``s_k`` is ``sources[:, k-1]`` when ``c`` is ``n_levels``, and
     ``sources[:, 0]`` at every level when ``c`` is 1, which makes the row the
     differences of ``adapt``.  Level ``k`` takes ``E_k`` of ``s_k`` and
-    ``s_{k+1}`` of every row together (``each_operator``) before it writes
-    ``out[:, k-1]``, so ``out`` may be ``sources`` itself, and only one
-    level's expectations are held.  A lone row's two operators go one at a
-    time: a product with two columns reads a level basis no faster than two
-    matrix-vector products.
+    ``s_{k+1}`` of every row before it writes ``out[:, k-1]``, so ``out``
+    may be ``sources`` itself, and only one level's expectations are held.
+    Dense operators of several rows go through one ``conditional_expectation``
+    call; a lone row's go one at a time, since a product with two columns
+    reads a level basis no faster than two matrix-vector products.  Diagonal
+    operators (a (b, c, d) stack, on a tensor or abelian tower) take their
+    block means all at once.
     """
     per_level = sources.shape[1] > 1
     below = 0.0  # E_{k-1} s_k
     for k in range(1, tower.n_levels + 1):
         s = sources[:, k - 1 : k + 1] if per_level else sources[:, :1]
-        parts = [s] if len(s) > 1 else np.split(s, s.shape[1], axis=1)
-        e = np.concatenate([each_operator(tower.conditional_expectation, k,
-                                          p.reshape(-1, *p.shape[2:])).reshape(p.shape)
-                            for p in parts], axis=1)
+        if s.ndim == 3:
+            e = tower._diag_expectation(k, s)
+        elif len(s) > 1:
+            e = tower.conditional_expectation(k, s.reshape(-1, *s.shape[2:])).reshape(s.shape)
+        else:
+            e = np.stack([tower.conditional_expectation(k, x) for x in s[0]])[None]
         np.subtract(e[:, 0], below, out=out[:, k - 1])
         below = e[:, -1]
     return out

@@ -184,16 +184,36 @@ def test_stacked_sampling_equals_one_generator_at_a_time(request, tower_name, pr
             assert np.abs(m.differences - alone.differences).max() <= 1e-13
 
 
-def test_gaussian_sampling_projects_each_draw_in_order(tensor222):
+def test_gaussian_sampling_projects_each_draw_in_order(any_tower):
     """Trial i's k-th Gaussian element, drawn from its own generator, lies
-    under its k-th difference: what one trial drew before stacking."""
-    t = tensor222
+    under its k-th difference: what one trial drew before stacking.  On
+    diagonal draws the arithmetic is unchanged, so the bits are too."""
+    t = any_tower
     together = random_martingale(t, "gaussian", [trial_rng(6, 0, i) for i in range(3)])
     for i, m in enumerate(together):
         rng = trial_rng(6, 0, i)
         for k, dx in enumerate(m.differences, start=1):
             want = t.project_difference(k, t.random_element(rng))
-            assert np.abs(dx - want).max() <= 1e-13
+            if want.ndim == 1:
+                assert np.array_equal(dx, want)
+            else:
+                assert np.abs(dx - want).max() <= 1e-13
+
+
+def test_positive_sampling_adapts_each_draw(any_tower):
+    t = any_tower
+    together = random_martingale(t, "positive_l1", [trial_rng(7, 0, i) for i in range(3)])
+    for i, m in enumerate(together):
+        rng = trial_rng(7, 0, i)
+        g = t.random_element(rng)
+        x = np.abs(g) ** 2 + 0j if g.ndim == 1 else g @ g.conj().T
+        levels = [np.zeros_like(x)] + [t.conditional_expectation(k, x / t.trace(x).real)
+                                       for k in range(1, t.n_levels + 1)]
+        want = np.diff(levels, axis=0)
+        if want.ndim == 2:
+            assert np.array_equal(m.differences, want)
+        else:
+            assert np.abs(m.differences - want).max() <= 1e-13
 
 
 def test_failed_positive_draw_marks_only_its_own_trial(monkeypatch):
