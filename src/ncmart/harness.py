@@ -19,6 +19,7 @@ import time
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -238,15 +239,21 @@ def centered_martingale(mart: mg.MartingaleSequence) -> mg.MartingaleSequence:
     its fractional integral annihilates constants; with our towers (first
     expectation is zero, identity sits inside the first difference space)
     that corresponds to transforming ``x - tau(x) 1``.
+
+    Since ``1`` lies in the first level, ``E_1 1 = 1`` and ``E_k 1 - E_{k-1} 1
+    = 0`` for ``k >= 2``: ``adapt(x - tau(x) 1)`` is ``mart`` with ``tau(x) 1``
+    taken from ``dx_1``, which is how it is formed here.  ``mart`` must
+    therefore be adapted, as every martingale that ncmart builds is.
     """
-    tower = mart.tower
-    x = mart.final
-    mean = tower.trace(x)
-    if x.ndim == 1:
-        return mg.adapt(tower, x - mean * np.ones(tower.dim))
-    return mg.adapt(tower, x - mean * np.eye(tower.dim))
+    diffs = mart.differences.copy()
+    mean = mart.tower.trace(mart.final)
+    first = diffs[0] if diffs.ndim == 2 else diffs[0].reshape(-1)[:: mart.tower.dim + 1]
+    first -= mean
+    return mg.MartingaleSequence(mart.tower, diffs)
 
 
+# Depths up to log2 of this realize the noncommutative family as a dense
+# operator, so it exercises the dense expectations; deeper ones stay diagonal.
 DENSE_EXTREMAL_LIMIT = 64
 
 
@@ -255,7 +262,9 @@ def extremal_example(n, kind="classical"):
 
     ``classical`` realizes it as a diagonal step function on the abelian
     tower; ``noncommutative`` as a scaled rank-one diagonal projection in
-    the 2x2 tensor tower.  Both use transform coefficients ``2^-k``.
+    the 2x2 tensor tower.  Both use transform coefficients ``2^-k``.  A
+    dense realization is adapted once per tower and shared, its differences
+    read-only; diagonal ones are block means, made afresh on every call.
     """
     if n < 1:
         raise ConfigError("extremal example needs n >= 1")
@@ -264,14 +273,22 @@ def extremal_example(n, kind="classical"):
     classical = kind == "classical"
     tower = build_tower(FiltrationSpec.abelian_dyadic(n) if classical
                         else FiltrationSpec.tensor((2,) * n))
+    coeffs = CoefficientSequence(tuple(2.0**-k for k in range(1, n + 1)), "user")
     if classical or tower.dim > DENSE_EXTREMAL_LIMIT:
         f = np.zeros(tower.dim, dtype=complex)
         f[0] = 2.0**n
-    else:
-        f = np.zeros((tower.dim, tower.dim), dtype=complex)
-        f[0, 0] = 2.0**n
-    coeffs = CoefficientSequence(tuple(2.0**-k for k in range(1, n + 1)), "user")
-    return tower, mg.adapt(tower, f), coeffs
+        return tower, mg.adapt(tower, f), coeffs
+    return tower, _dense_extremal(tower), coeffs
+
+
+@lru_cache(maxsize=DENSE_EXTREMAL_LIMIT.bit_length() - 1)  # one per dense depth
+def _dense_extremal(tower):
+    """The dense noncommutative realization on ``tower``, ``2^n e_11``, adapted."""
+    f = np.zeros((tower.dim, tower.dim), dtype=complex)
+    f[0, 0] = 2.0**tower.n_levels
+    mart = mg.adapt(tower, f)
+    mart.differences.setflags(write=False)
+    return mart
 
 
 # ---------------------------------------------------------------------------
@@ -300,15 +317,34 @@ def _summary_stats(ratios):
         return {"n_used": 0}
     first_half_max = float(np.max(arr[: max(arr.size // 2, 1)]))
     overall = float(np.max(arr))
+    ranked = np.sort(arr)
     return {
         "n_used": int(arr.size),
         "max": overall,
         "mean": float(np.mean(arr)),
-        "q50": float(np.quantile(arr, 0.5)),
-        "q90": float(np.quantile(arr, 0.9)),
+        "q50": _quantile(ranked, 0.5),
+        "q90": _quantile(ranked, 0.9),
         "first_half_max": first_half_max,
         "stability": overall / first_half_max if first_half_max > 0 else math.inf,
     }
+
+
+def _quantile(ranked, q):
+    """``np.quantile(ranked, q)`` of a sorted array, by numpy's arithmetic for
+    its ``linear`` method, without the ``numpy.ma`` import that its first
+    call makes."""
+    n = len(ranked)
+    if math.isnan(ranked[-1]):  # NaN sorts last
+        return math.nan
+    v = (n - 1) * q
+    if v >= n - 1:  # numpy weighs the last element against itself, by v + 1
+        a = b = float(ranked[-1])
+        t = v + 1
+    else:
+        lo = math.floor(v)
+        t = v - lo
+        a, b = float(ranked[lo]), float(ranked[lo + 1])
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def _failure(check, grid, trial, seed, detail):

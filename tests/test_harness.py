@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import pathlib
+import subprocess
 import sys
 
 import numpy as np
@@ -114,6 +117,46 @@ def test_summary_stats_excludes_sentinels():
     assert _summary_stats([None]) == {"n_used": 0}
 
 
+def test_summary_quantiles_equal_numpy():
+    """The summaries' quantiles equal ``np.quantile``'s on sizes 1-300 with
+    ties, infinities and NaNs (NaN wherever numpy gives NaN)."""
+    rng = np.random.default_rng(18)
+    specials = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0])
+    for _ in range(3000):
+        n = int(rng.integers(1, 301))
+        a = rng.standard_normal(n) * 10.0 ** int(rng.integers(-3, 4))
+        if rng.random() < 0.5:
+            a = np.round(a, 1)  # ties
+        if rng.random() < 0.5:
+            where = rng.integers(0, n, size=int(rng.integers(1, 4)))
+            a[where] = rng.choice(specials, size=where.size)
+        ranked = np.sort(a)
+        for q in (0.5, 0.9):
+            with np.errstate(invalid="ignore"):
+                want = float(np.quantile(a, q))
+            got = harness._quantile(ranked, q)
+            # == : a sort may order 0.0 and -0.0 either way, so the sign of zero may differ
+            assert got == want or math.isnan(got) and math.isnan(want), (a, q)
+
+
+def test_verify_leaves_numpy_ma_unimported():
+    """Report summaries take no ``np.quantile``, whose first call imports
+    ``numpy.ma`` (about 25 ms of a short run)."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import contextlib, io, sys\n"
+            "from ncmart.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['verify', '--experiment', 'lp-lq', '--tower', 'tensor:2,2',\n"
+            "                 '--seed', '1', '--trials', '3'])\n"
+            "print(code, 'numpy.ma' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "False"]
+
+
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -166,6 +209,29 @@ def test_centered_martingale(any_tower):
     assert abs(t.trace(c.final)) < 1e-12
     diff = t._dense(m.final) - t._dense(c.final)
     assert t.norm2(diff - np.eye(t.dim) * t.trace(m.final)) < 1e-10
+
+
+@pytest.mark.parametrize("tower_name", ["tensor222", "abelian3", "custom4", "weighted2"])
+def test_centered_martingale_is_adapt_of_the_centred_final(request, tower_name):
+    """Centring from ``dx_1`` is ``adapt(x - tau(x) 1)``, here with a complex mean."""
+    t = request.getfixturevalue(tower_name)
+    m = random_martingale(t, "gaussian", [trial_rng(2, 0)])[0]
+    x = m.final
+    want = mg.adapt(t, x - t.trace(x) * (np.ones(t.dim) if x.ndim == 1 else np.eye(t.dim)))
+    got = centered_martingale(m)
+    assert got.differences.shape == want.differences.shape
+    assert np.abs(got.differences - want.differences).max() <= 1e-13
+
+
+def test_centered_martingale_is_exact_on_diagonal_extremal_realizations():
+    """Every diagonal realization of the extremal family centres to the bits
+    of ``adapt(x - tau(x) 1)``."""
+    for kind, depths in (("classical", range(1, 13)), ("noncommutative", range(7, 13))):
+        for n in depths:
+            tower, m, _ = extremal_example(n, kind)
+            x = m.final
+            want = mg.adapt(tower, x - tower.trace(x) * np.ones(tower.dim))
+            assert np.array_equal(centered_martingale(m).differences, want.differences)
 
 
 @pytest.mark.parametrize("tower_name", ["tensor222", "abelian3", "custom4"])
@@ -281,6 +347,23 @@ def test_extremal_example_shares_towers():
     tensor = build_tower(FiltrationSpec.parse("tensor:2,2,2"))
     assert extremal_example(3, "noncommutative")[0] is tensor
     assert extremal_example(3)[0] is build_tower(FiltrationSpec.parse("abelian:3"))
+
+
+def test_dense_extremal_realizations_are_built_once():
+    for n in range(1, 7):
+        tower, m, _ = extremal_example(n, "noncommutative")
+        again, m2, _ = extremal_example(n, "noncommutative")
+        assert m2 is m and m.tower is tower is again
+        assert m.differences.ndim == 3 and not m.differences.flags.writeable
+        with pytest.raises(ValueError):
+            m.differences[0, 0, 0] += 1.0
+    # the realization belongs to the tower it is asked for, not to an equal one
+    fresh = Tower(FiltrationSpec.tensor((2, 2, 2)))
+    assert harness._dense_extremal(fresh).tower is fresh
+    # diagonal realizations are made afresh, and are writable
+    for n, kind in ((3, "classical"), (12, "classical"), (7, "noncommutative")):
+        a, b = extremal_example(n, kind)[1], extremal_example(n, kind)[1]
+        assert a is not b and a.differences.ndim == 2 and a.differences.flags.writeable
 
 
 def test_extremal_example_weak_witness():
