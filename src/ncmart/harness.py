@@ -247,6 +247,7 @@ def centered_martingale(mart: mg.MartingaleSequence) -> mg.MartingaleSequence:
     """
     diffs = mart.differences.copy()
     mean = mart.tower.trace(mart.final)
+    # dx_1, or a view of its diagonal: the subtraction writes into diffs
     first = diffs[0] if diffs.ndim == 2 else diffs[0].reshape(-1)[:: mart.tower.dim + 1]
     first -= mean
     return mg.MartingaleSequence(mart.tower, diffs)
