@@ -34,6 +34,8 @@ from .spectral import lorentz_norm, lp_norm, singular_value_function, weak_norm
 __all__ = ["main"]
 
 CLOSED_FORM_GAP = 1e-4
+# Norms of ``ncmart norms`` that are computed from the operator's martingale.
+MARTINGALE_NORMS = ("hardy_c", "bmo", "lipschitz_c")
 
 
 def _tower_from_args(args):
@@ -124,11 +126,13 @@ def _cmd_norms(args) -> int:
         raise ConfigError(f"cannot read operator {args.operator!r}: {exc}") from exc
     if x.shape[0] != tower.dim:
         raise ConfigError(f"operator dimension {x.shape[0]} does not match tower dimension {tower.dim}")
-    mart = mg.adapt(tower, x)
+    specs = [(spec, *_parse_norm_spec(spec)) for spec in args.norm]
+    # only the martingale norms need the martingale; the rest read the spectrum
+    if any(name in MARTINGALE_NORMS for _, name, _ in specs):
+        mart = mg.adapt(tower, x)
     s = singular_value_function(tower, x)
     out = {}
-    for spec in args.norm:
-        name, params = _parse_norm_spec(spec)
+    for spec, name, params in specs:
         try:
             if name == "lp":
                 (p,) = params

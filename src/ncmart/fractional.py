@@ -269,7 +269,7 @@ def embedding_constants_check(tower: Tower, k, coeffs, samples=200, seed=0):
     for _ in range(samples):
         x = tower.project_difference(k, tower.random_element(rng))
         s = singular_value_function(tower, x)
-        n1, n2, ninf = lp_norm(s, 1), lp_norm(s, 2), lp_norm(s, math.inf)
+        n1, n2, ninf = lp_norm(s, [1, 2, math.inf]).tolist()
         if n2 < 1e-13:
             continue
         max_inf_over_2 = max(max_inf_over_2, ninf / n2)

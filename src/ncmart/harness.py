@@ -534,14 +534,15 @@ def _h1_column_ratio(point, x, src, coeffs):
 def _embedding_trial(run, k, rng):
     tower, zeta = run.tower, run.coeffs.values[k - 1]
     s = singular_value_function(tower, tower.project_difference(k, tower.random_element(rng)))
-    n1, n2, ninf = lp_norm(s, 1.0), lp_norm(s, 2.0), s.values[0]
+    alphas, ps = run.points["alphas"], (1.1, 1.25, 1.5, 1.75)
+    n1, n2, *norms = lp_norm(s, [1.0, 2.0, *(1.0 / (1.0 - a) for a in alphas), *ps]).tolist()
+    ninf = s.values[0]
     if n2 < 1e-13:
         return Outcome({})
     worst = {
-        "basic_i": min(2.0**a * n1 - zeta**a * lp_norm(s, 1.0 / (1.0 - a))
-                       for a in run.points["alphas"]),
-        "basic_ii": min(lp_norm(s, p) - zeta ** (1.0 / p - 0.5) * n2
-                        for p in (1.1, 1.25, 1.5, 1.75)),
+        "basic_i": min(2.0**a * n1 - zeta**a * n for a, n in zip(alphas, norms)),
+        "basic_ii": min(n - zeta ** (1.0 / p - 0.5) * n2
+                        for p, n in zip(ps, norms[len(alphas):])),
         "embed_inf2": zeta**-0.5 * n2 - ninf,
         "embed_21": 2 * zeta**-0.5 * n1 - n2,
     }
@@ -605,14 +606,15 @@ def _singular_value_trial(run, alpha, rng):
 def _hd_scalar_trial(run, k, rng):
     tower, zeta = run.tower, run.coeffs.values[k - 1]
     s = singular_value_function(tower, tower.conditional_expectation(k, tower.random_element(rng)))
+    pairs = run.points["pq_pairs"]
+    norms = lp_norm(s, pairs).tolist()
     slacks = []
-    for p, q in run.points["pq_pairs"]:
+    for (p, q), (np_norm, nq_norm) in zip(pairs, norms):
         gamma = 1.0 / p - 1.0 / q
-        np_norm = lp_norm(s, p)
         if np_norm < 1e-13:
             continue
         # samples normalized in L_p; the claim is scale-invariant then
-        nq = lp_norm(s, q) / np_norm
+        nq = nq_norm / np_norm
         slacks.append(({"level": k, "p": p, "q": q}, 1.0 - zeta ** (gamma * q) * nq**q))
     return Outcome({"hd_scalar": min(v for _, v in slacks)} if slacks else {},
                    [("hd_scalar", where, v) for where, v in slacks if v < -HARD_SLACK])
@@ -673,9 +675,11 @@ def _example_norms(tower, mart, coeffs):
     centered = centered_martingale(mart)
     half_l2, l1 = _lp_lq_ratio((1.0, 2.0), mart, centered, coeffs)
     quarter = fractional_integral(centered, 0.25, coeffs).final
+    epss = (0.25, 0.5)
+    lr = lp_norm(s, [(4.0 - eps) / 3.0 for eps in epss]).tolist()
     return {"l1": l1, "half_l2": half_l2,
             "quarter_l2_sq": lp_norm(singular_value_function(tower, quarter), 2.0) ** 2,
-            **{f"lr_eps{eps:g}": lp_norm(s, (4.0 - eps) / 3.0) for eps in (0.25, 0.5)}}
+            **{f"lr_eps{eps:g}": n for eps, n in zip(epss, lr)}}
 
 
 def _alpha_ratio(name, ratio, profile="gaussian", extremal=None):

@@ -232,7 +232,7 @@ def _gram_lp_norms(tower, grams, p):
     else:
         eigvals = grams.real if grams.ndim == 2 else _eigvalsh(grams, grams)
         spectra = [(np.sqrt(np.clip(v, 0.0, None)), tower.weights) for v in eigvals]
-    return np.array([_root_power_sum(v, w, p, p) for v, w in spectra])
+    return np.array([_root_power_sum(v, w, p) for v, w in spectra])
 
 
 def hardy_mixed_upper(m: MartingaleSequence, p, refine=True):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,26 +31,31 @@ LOG_SPACE_EXPONENT = 32.0
 
 @dataclass(frozen=True)
 class SingularValueFunction:
-    """Step function ``mu_t``: ``values[j]`` on ``[cums[j-1], cums[j])``."""
+    """Step function ``mu_t``: ``values[j]`` on ``[cums[j-1], cums[j])``.
+
+    ``piece_weights[j]`` is the length of piece ``j``: ``cums[0]``, then
+    ``cums[j] - cums[j-1]``.  Every piece must have positive length.
+    """
 
     values: np.ndarray  # nonincreasing, >= 0
-    cums: np.ndarray  # strictly increasing, ends at 1
+    cums: np.ndarray  # strictly increasing from above 0, ends at 1
+    piece_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         c = np.asarray(self.cums, dtype=float)
         if v.shape != c.shape or v.ndim != 1 or v.size == 0:
             raise ValueError("breakpoints must be two equal-length 1-d arrays")
-        if np.any(np.diff(v) > 0) or np.any(v < 0):
+        if not ((v[1:] <= v[:-1]).all() and v[-1] >= 0):
             raise ValueError("values must be nonnegative and nonincreasing")
-        if np.any(np.diff(c) <= 0) or abs(c[-1] - 1.0) > 1e-9:
-            raise ValueError("cumulative weights must increase strictly to 1")
+        w = np.empty_like(c)  # np.diff(c, prepend=0.0), without its concatenation
+        w[0] = c[0]
+        np.subtract(c[1:], c[:-1], out=w[1:])
+        if not ((w > 0).all() and abs(c[-1] - 1.0) <= 1e-9):
+            raise ValueError("cumulative weights must increase strictly from 0 to 1")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "cums", c)
-
-    @property
-    def piece_weights(self):
-        return np.diff(self.cums, prepend=0.0)
+        object.__setattr__(self, "piece_weights", w)
 
     def value_at(self, t):
         """Evaluate ``mu_t``; zero for ``t >= 1``."""
@@ -65,28 +70,35 @@ class SingularValueFunction:
 
         Taken in decreasing order, samples of zero weight are dropped and
         each run of equal values is one piece, whose ``cums`` entry is the
-        running total of the weights at its last sample.  A value or weight
-        that is NaN or infinite raises ``ArithmeticError``: it comes from a
-        computation that overflowed, so it is a numerical failure.
+        running total of the weights at its last sample.  When all weights
+        are equal, as on every uniform trace, sorting the values gives that
+        order and the same totals.  A value or weight that is NaN or
+        infinite raises ``ArithmeticError``: it comes from a computation
+        that overflowed, so it is a numerical failure.
         """
         values = np.asarray(values, dtype=float)
         weights = np.asarray(weights, dtype=float)
-        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(weights))):
+        if not (np.isfinite(values).all() and np.isfinite(weights).all()):
             raise ArithmeticError("spectrum has a NaN or infinite value or weight")
-        order = np.argsort(values)[::-1]
-        order = order[weights[order] > 0]
-        values, weights = values[order], weights[order]
+        if (weights == weights[:1]).all():
+            values = np.sort(values)[::-1] if weights.size and weights[0] > 0 else values[:0]
+        else:
+            order = np.argsort(values)[::-1]
+            order = order[weights[order] > 0]
+            values, weights = values[order], weights[order]
         if values.size == 0:
             return SingularValueFunction(np.zeros(1), np.ones(1))
         last = np.append(values[1:] != values[:-1], True)
-        cums = np.cumsum(weights)[last]
+        cums = np.cumsum(weights)
+        if not last.all():
+            values, cums = values[last], cums[last]
         cums[-1] = 1.0  # weights sum to tau(1) = 1 up to rounding
-        return SingularValueFunction(np.maximum(values[last], 0.0), cums)
+        return SingularValueFunction(np.maximum(values, 0.0), cums)
 
 
-def _solver_failure(x):
+def _solver_failure(x, solver="eigensolver"):
     digest = hashlib.sha256(np.ascontiguousarray(x)).hexdigest()[:16]
-    return ArithmeticError(f"eigensolver failed on operator sha256:{digest}")
+    return ArithmeticError(f"{solver} failed on operator sha256:{digest}")
 
 
 def _eigh(h, x):
@@ -126,12 +138,32 @@ def _root_spectrum(tower, h, x):
     return vals, np.clip(weights, 0.0, None)
 
 
+def _svd(x, compute_uv):
+    """``np.linalg.svd`` of the operator ``x``; a failure raises
+    ``ArithmeticError`` naming ``x`` by digest, as in ``_eigh``."""
+    try:
+        return np.linalg.svd(x, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise _solver_failure(x, "singular value solver") from exc
+
+
 def _absolute_value_spectrum(tower, x):
-    """Eigenvalues of ``|x|`` with their trace weights."""
+    """Eigenvalues of ``|x|`` with their trace weights.
+
+    For a dense ``x`` these are its singular values, taken from ``x`` itself:
+    an eigensolver on ``x* x`` would square the condition number and lose
+    the singular values below about ``1e-8 ||x||``.  On a uniform trace
+    every unit vector has weight ``weights[0]``, so no singular vectors are
+    computed; otherwise the weight of each value is ``sum_p w_p |v_p|^2``
+    over its right singular vector ``v``.
+    """
     x = np.asarray(x, dtype=complex)
     if x.ndim == 1:
         return np.abs(x), tower.weights.copy()
-    return _root_spectrum(tower, x.conj().T @ x, x)
+    if tower.uniform_trace:
+        return _svd(x, False), tower.weights.copy()
+    _, vals, vh = _svd(x, True)
+    return vals, np.abs(vh) ** 2 @ tower.weights
 
 
 def singular_value_function(tower, x) -> SingularValueFunction:
@@ -148,28 +180,61 @@ def operator_norm(x) -> float:
     return float(np.linalg.norm(x, 2))
 
 
-def _root_power_sum(values, weights, p, root):
-    """``(sum w * v^p)^(1/root)`` with a log-space path for large exponents."""
-    mask = (values > 0) & (weights > 0)
-    if not np.any(mask):
-        return 0.0
-    v, w = values[mask], weights[mask]
-    if p <= LOG_SPACE_EXPONENT and np.max(v) ** p < 1e300:
-        return float(np.sum(w * v**p)) ** (1.0 / root)
-    logs = p * np.log(v) + np.log(w)
-    m = np.max(logs)
-    log_total = m + math.log(float(np.sum(np.exp(logs - m))))
-    return math.exp(log_total / root)
+def _root_power_sum(values, weights, p):
+    """``(sum w * v^p)^(1/p)`` over samples in any order, for one exponent
+    ``p > 0`` (a float) or an array of them (an array of the same shape).
+
+    Samples of zero value or weight add nothing; they are dropped only when
+    some are, and each exponent's sum runs over the same terms in the same
+    order as a lone call's.  ``p = inf`` gives the largest value of positive
+    weight.  An exponent above ``LOG_SPACE_EXPONENT``, or one at which the
+    largest power reaches ``1e300``, is summed in log space.
+    """
+    ps = np.asarray(p, dtype=float)
+    exps = ps.ravel().tolist()
+    out = [0.0] * len(exps)
+    keep = (values > 0) & (weights > 0)
+    if not keep.all():
+        values, weights = values[keep], weights[keep]
+    if values.size:
+        top = float(values.max())
+        direct, logged = [], []
+        for i, q in enumerate(exps):
+            if q == math.inf:
+                out[i] = top
+            else:
+                small = q <= LOG_SPACE_EXPONENT and q * math.log(top) < math.log(1e300)
+                (direct if small else logged).append(i)
+        if direct:
+            # one power per row, as a lone call takes it: a broadcast power
+            # of the whole stack rounds some entries differently
+            powers = np.empty((len(direct), values.size))
+            for j, i in enumerate(direct):
+                powers[j] = values ** exps[i]
+            powers *= weights
+            for i, total in zip(direct, powers.sum(axis=1).tolist()):
+                out[i] = total ** (1.0 / exps[i])
+        if logged:
+            log_v, log_w = np.log(values), np.log(weights)
+            for i in logged:
+                logs = exps[i] * log_v + log_w
+                m = np.max(logs)
+                log_total = m + math.log(float(np.sum(np.exp(logs - m))))
+                out[i] = math.exp(log_total / exps[i])
+    return out[0] if ps.ndim == 0 else np.reshape(out, ps.shape)
 
 
-def lp_norm(s: SingularValueFunction, p) -> float:
-    """``(integral mu_t^p dt)^(1/p)``; the top value for ``p = inf``."""
-    if p == math.inf:
-        return float(s.values[0])
-    p = float(p)
-    if p <= 0:
+def lp_norm(s: SingularValueFunction, p):
+    """``(integral mu_t^p dt)^(1/p)``; the top value for ``p = inf``.
+
+    ``p`` is one exponent, giving a float, or an array of exponents, giving
+    an array of the same shape whose entries equal the lone calls'.  Every
+    exponent must be positive.
+    """
+    p = np.asarray(p, dtype=float)
+    if not (p > 0).all():
         raise ValueError("p must be positive")
-    return _root_power_sum(s.values, s.piece_weights, p, p)
+    return _root_power_sum(s.values, s.piece_weights, p)
 
 
 def lorentz_norm(s: SingularValueFunction, p, q) -> float:
@@ -185,7 +250,7 @@ def lorentz_norm(s: SingularValueFunction, p, q) -> float:
     r = q / p
     edges = np.concatenate([[0.0], s.cums])
     piece = edges[1:] ** r - edges[:-1] ** r
-    return _root_power_sum(s.values, piece / r, q, q)
+    return _root_power_sum(s.values, piece / r, q)
 
 
 def weak_norm(s: SingularValueFunction, p, check_range=True) -> float:

@@ -10,6 +10,7 @@ import pytest
 
 import ncmart.cli as cli
 import ncmart.harness as harness
+import ncmart.martingale as mg
 from ncmart.algebra import FiltrationSpec, Tower, operator_to_json
 from ncmart.cli import main
 
@@ -272,13 +273,60 @@ def test_norms_rejects_non_finite_operator(tmp_path, capsys, bad):
 
 
 def test_norms_overflow_is_numerical_failure(tmp_path, capsys):
-    """``x* x`` overflows, so the spectrum of ``|x|`` is NaN: exit 3, not a crash."""
+    """The top singular value of ``|x|`` overflows, so the spectrum is
+    infinite: exit 3, not a crash."""
     op = tmp_path / "f.json"
-    op.write_text(json.dumps(operator_to_json(np.diag([1e200, 1, 1, 1]).astype(complex))))
+    op.write_text(json.dumps(operator_to_json(np.full((4, 4), 1e308, dtype=complex))))
     with np.errstate(over="ignore", invalid="ignore"):
         code = main(["norms", "--tower", "tensor:2,2", "--operator", str(op), "--norm", "lp:1"])
     assert code == 3
     assert capsys.readouterr().err.startswith("numerical failure: spectrum has a NaN")
+
+
+def test_norms_svd_failure_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    """A singular value solver that does not converge exits 3, naming the
+    operator by digest."""
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    op = tmp_path / "f.json"
+    op.write_text(json.dumps(operator_to_json(np.eye(4, dtype=complex))))
+    code = main(["norms", "--tower", "tensor:2,2", "--operator", str(op), "--norm", "lp:1"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: singular value solver failed on operator sha256:")
+
+
+def _count_adapt(monkeypatch):
+    calls = []
+    adapt = mg.adapt
+
+    def counting(tower, x):
+        calls.append(tower.spec)
+        return adapt(tower, x)
+
+    monkeypatch.setattr(mg, "adapt", counting)
+    return calls
+
+
+def test_norms_adapt_only_for_martingale_norms(tmp_path, capsys, monkeypatch):
+    """Spectral norms need no martingale; any mix with a martingale norm
+    adapts the operator once."""
+    op = tmp_path / "f.json"
+    x = np.random.default_rng(3).standard_normal((8, 8)).astype(complex)
+    op.write_text(json.dumps(operator_to_json(x)))
+    base = ["norms", "--tower", "tensor:2,2,2", "--operator", str(op)]
+    calls = _count_adapt(monkeypatch)
+    assert main(base + ["--norm", "lp:1", "--norm", "lorentz:2,1", "--norm", "weak:2"]) == 0
+    assert calls == []
+    spectral_only = json.loads(capsys.readouterr().out)["norms"]
+    assert main(base + ["--norm", "lp:1", "--norm", "hardy_c:1", "--norm", "bmo",
+                        "--norm", "lipschitz_c:0.5"]) == 0
+    assert len(calls) == 1
+    mixed = json.loads(capsys.readouterr().out)["norms"]
+    assert mixed["lp:1"] == spectral_only["lp:1"]
+    assert set(mixed) == {"lp:1", "hardy_c:1", "bmo", "lipschitz_c:0.5"}
 
 
 @pytest.mark.parametrize("argv", [

@@ -414,6 +414,18 @@ def test_determinism_serial_vs_threads(name):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+@pytest.mark.parametrize("tower", ["tensor:2,2,2", "abelian:4"])
+@pytest.mark.parametrize("name", ["hd-scalar", "embedding-lemmas"])
+def test_batched_norm_reports_serial_vs_threads(name, tower):
+    """The trials that take several ``L_p`` norms of one function in one call
+    give byte-identical reports with one and with two worker threads."""
+    cfg = _cfg(name, tower=FiltrationSpec.parse(tower).to_json(), trials=10)
+    a = run_ratio_experiment(cfg, threads=1).to_json()
+    b = run_ratio_experiment(cfg, threads=2).to_json()
+    a.pop("wall_time"), b.pop("wall_time")
+    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
 def test_embedding_worst_slacks_include_failures():
     """Coefficients of 1 overstate every subspace constant, so the embedding
     checks fail; each check's worst slack is still its most negative trial,
@@ -481,4 +493,23 @@ def test_non_finite_spectrum_is_trial_error(monkeypatch, poisoned):
     report = run_ratio_experiment(_cfg("weak-type", trials=2, extremal_n_max=2))
     assert len(report.failures) == len(report.trials) > 0
     assert all(f["check"] == "trial_error" and "NaN or infinite" in f["detail"]
+               for f in report.failures)
+
+
+def test_svd_failure_is_trial_error(monkeypatch):
+    """A singular value solver that fails inside a trial gives a
+    ``trial_error`` naming the operator; the run goes on.  Only the trials'
+    ``d = 8`` operators fail: the extremal rows (``d <= 4``) are untouched."""
+    svd = np.linalg.svd
+
+    def fail_at_d8(a, *args, **kwargs):
+        if a.shape[-1] == 8:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", fail_at_d8)
+    report = run_ratio_experiment(_cfg("lp-lq", trials=2, extremal_n_max=2))
+    assert len(report.failures) == len(report.trials) > 0
+    assert all(f["check"] == "trial_error"
+               and f["detail"].startswith("singular value solver failed on operator sha256:")
                for f in report.failures)

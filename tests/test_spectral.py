@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncmart.algebra import FiltrationSpec, build_tower
 from ncmart.spectral import (
     SingularValueFunction,
     _eigvalsh,
@@ -58,6 +59,16 @@ def test_constructor_validates():
         SingularValueFunction(np.array([2.0, 1.0]), np.array([0.5, 0.9]))
     with pytest.raises(ValueError):
         SingularValueFunction(np.array([-1.0]), np.array([1.0]))
+    # the first piece runs from 0 to cums[0], so cums[0] must be positive
+    for cums in ([-0.5, 1.0], [0.0, 1.0]):
+        with pytest.raises(ValueError):
+            SingularValueFunction(np.array([2.0, 1.0]), np.array(cums))
+
+
+def test_piece_weights_are_stored():
+    s = SingularValueFunction(np.array([3.0, 2.0, 1.0]), np.array([0.25, 0.5, 1.0]))
+    assert s.piece_weights.tolist() == [0.25, 0.25, 0.5]
+    assert s.piece_weights is s.piece_weights
 
 
 def test_value_at_steps():
@@ -89,8 +100,9 @@ def tied_spectra(draw):
     weights = np.asarray(draw(st.lists(
         st.just(0.0) | st.floats(min_value=0.01, max_value=1.0),
         min_size=len(values), max_size=len(values))))
-    if draw(st.booleans()):
-        weights[:] = 0.0
+    # all zero, all equal (as on a uniform trace, where the values are only
+    # sorted), or drawn one by one
+    weights[:] = draw(st.sampled_from([0.0, 1.0, weights]))
     if weights.sum() > 0:
         weights = weights / weights.sum()
     return np.asarray(values), weights
@@ -157,6 +169,46 @@ def test_dense_matches_singular_values(tensor222, rng):
         assert abs(lp_norm(s, p) - direct) < 1e-9
     assert abs(lp_norm(s, math.inf) - sv[0]) < 1e-10
     assert abs(operator_norm(x) - sv[0]) < 1e-10
+
+
+def _unitary(rng, d):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+@pytest.fixture(scope="module")
+def tensor_2x5():
+    return build_tower(FiltrationSpec.tensor([2] * 5))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_small_singular_values_are_accurate_on_a_uniform_trace(tensor_2x5, seed):
+    """``L_{1/4}`` of ``U diag(sigma) V*``, ``sigma`` graded from 1 to 1e-14,
+    against LAPACK's singular values of the same matrix: the spectrum of
+    ``|x|`` is not read off ``x* x``, whose eigenvalues below ``1e-16`` are
+    rounding noise."""
+    from scipy.linalg import svdvals
+
+    rng = np.random.default_rng(seed)
+    sigma = np.logspace(0.0, -14.0, tensor_2x5.dim)
+    x = (_unitary(rng, tensor_2x5.dim) * sigma) @ _unitary(rng, tensor_2x5.dim).conj().T
+    want = np.mean(svdvals(x) ** 0.25) ** 4
+    assert lp_norm(singular_value_function(tensor_2x5, x), 0.25) == pytest.approx(want, rel=1e-10)
+
+
+def test_small_singular_values_are_accurate_on_a_weighted_trace(weighted2, rng):
+    """On a non-uniform trace the weights come from right singular vectors;
+    ``sigma_2 = 1e-12`` survives (an eigensolver on ``x* x`` returns about
+    ``1e-8`` for it)."""
+    sigma = np.array([1.0, 1e-12])
+    v = _unitary(rng, 2)
+    x = (_unitary(rng, 2) * sigma) @ v.conj().T
+    s = singular_value_function(weighted2, x)
+    assert s.values[1] == pytest.approx(1e-12, rel=1e-3)
+    weights = weighted2.weights @ np.abs(v) ** 2  # tau of each column's projection
+    want = np.sum(weights * sigma**0.25) ** 4
+    assert lp_norm(s, 0.25) == pytest.approx(want, rel=1e-6)
 
 
 def test_f_n_breakpoints(abelian4):
@@ -254,6 +306,58 @@ def test_eigvalsh_failure_names_the_failing_matrix_of_a_stack(monkeypatch):
     digest = hashlib.sha256(np.ascontiguousarray(operators[1])).hexdigest()[:16]
     assert str(from_stack.value) == str(from_one.value) == f"eigensolver failed on operator sha256:{digest}"
     assert isinstance(from_stack.value.__cause__, np.linalg.LinAlgError)
+
+
+def _weighted_step_functions():
+    """Step functions with distinct weights, some with a zero value."""
+    @st.composite
+    def build(draw):
+        s = draw(step_functions())
+        if draw(st.booleans()):
+            values = s.values.copy()
+            values[-1] = 0.0
+            s = SingularValueFunction(values, s.cums)
+        return s
+
+    return build()
+
+
+EXPONENTS = st.sampled_from([0.25, 0.5, 1.0, 4.0 / 3.0, 1.5, 2.0, 3.0, 20.0, 32.0, 33.0,
+                             400.0, math.inf]) | st.floats(min_value=0.1, max_value=64.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=_weighted_step_functions(), ps=st.lists(EXPONENTS, min_size=1, max_size=16),
+       scale=st.sampled_from([1e-300, 1.0, 1e30, 1e200]))
+def test_lp_norm_array_matches_scalar_calls(s, ps, scale):
+    """An array of exponents gives each lone call's value, on the direct and
+    log-space paths (``p > 32``, or a top power that overflows), at ``inf``
+    and on functions with a zero value."""
+    s = SingularValueFunction(s.values * scale, s.cums)
+    got = lp_norm(s, ps)
+    assert isinstance(got, np.ndarray) and got.shape == (len(ps),)
+    want = [lp_norm(s, p) for p in ps]
+    assert all(isinstance(w, float) for w in want)
+    assert got.tolist() == pytest.approx(want, rel=1e-15, abs=0.0)
+    grid = lp_norm(s, np.reshape(ps * 2, (2, -1)))
+    assert grid.shape == (2, len(ps)) and grid.tolist() == [got.tolist()] * 2
+
+
+def test_lp_norm_array_on_a_dense_spectrum(tensor222, weighted2, rng):
+    for tower in (tensor222, weighted2):
+        x = rng.standard_normal((tower.dim,) * 2) + 1j * rng.standard_normal((tower.dim,) * 2)
+        s = singular_value_function(tower, x)
+        ps = [1.0, 2.0, 1.1, 0.5, 40.0, math.inf]
+        assert lp_norm(s, ps).tolist() == pytest.approx([lp_norm(s, p) for p in ps],
+                                                        rel=1e-15, abs=0.0)
+
+
+def test_lp_norm_array_rejects_non_positive_exponents():
+    s = SingularValueFunction(np.array([2.0, 1.0]), np.array([0.5, 1.0]))
+    for ps in ([1.0, 0.0], [2.0, -1.0, 3.0], [math.nan]):
+        with pytest.raises(ValueError, match="p must be positive"):
+            lp_norm(s, ps)
+    assert lp_norm(s, []).shape == (0,)
 
 
 def test_large_exponent_log_space():
