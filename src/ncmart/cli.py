@@ -127,7 +127,6 @@ def _cmd_norms(args) -> int:
     if x.shape[0] != tower.dim:
         raise ConfigError(f"operator dimension {x.shape[0]} does not match tower dimension {tower.dim}")
     specs = [(spec, *_parse_norm_spec(spec)) for spec in args.norm]
-    # only the martingale norms need the martingale; the rest read the spectrum
     if any(name in MARTINGALE_NORMS for _, name, _ in specs):
         mart = mg.adapt(tower, x)
     s = singular_value_function(tower, x)

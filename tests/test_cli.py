@@ -298,7 +298,9 @@ def test_norms_svd_failure_is_numerical_failure(tmp_path, capsys, monkeypatch):
         "numerical failure: singular value solver failed on operator sha256:")
 
 
-def _count_adapt(monkeypatch):
+def test_norms_adapt_only_for_martingale_norms(tmp_path, capsys, monkeypatch):
+    """Spectral norms need no martingale; any mix with a martingale norm
+    adapts the operator once."""
     calls = []
     adapt = mg.adapt
 
@@ -307,17 +309,10 @@ def _count_adapt(monkeypatch):
         return adapt(tower, x)
 
     monkeypatch.setattr(mg, "adapt", counting)
-    return calls
-
-
-def test_norms_adapt_only_for_martingale_norms(tmp_path, capsys, monkeypatch):
-    """Spectral norms need no martingale; any mix with a martingale norm
-    adapts the operator once."""
     op = tmp_path / "f.json"
     x = np.random.default_rng(3).standard_normal((8, 8)).astype(complex)
     op.write_text(json.dumps(operator_to_json(x)))
     base = ["norms", "--tower", "tensor:2,2,2", "--operator", str(op)]
-    calls = _count_adapt(monkeypatch)
     assert main(base + ["--norm", "lp:1", "--norm", "lorentz:2,1", "--norm", "weak:2"]) == 0
     assert calls == []
     spectral_only = json.loads(capsys.readouterr().out)["norms"]
