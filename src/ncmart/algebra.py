@@ -223,17 +223,17 @@ def gram_schmidt(vectors, weights):
 
 
 def _unital_onb(n):
-    """Orthonormal basis of (M_n, tr/n) as an (n^2, n, n) stack: the identity,
-    the scaled off-diagonal units in row-major order, then the traceless
-    diagonal."""
+    """Orthonormal basis of (M_n, tr/n) as a real (n^2, n, n) stack: the
+    identity, the scaled off-diagonal units in row-major order, then the
+    traceless diagonal."""
     i, j = np.nonzero(~np.eye(n, dtype=bool))
-    out = np.zeros((n * n, n, n), dtype=complex)
+    out = np.zeros((n * n, n, n))
     out[1 + np.arange(i.size), i, j] = math.sqrt(n)
     diagonals = out.reshape(n * n, n * n)[:, :: n + 1]
     diagonals[0] = 1.0
     # the diagonal units orthonormalized after the constant vector, which is dropped
     cands = np.concatenate([np.ones((1, n)), np.eye(n)])
-    diagonals[1 + i.size :] = gram_schmidt(cands, np.full(n, 1.0 / n))[1:]
+    diagonals[1 + i.size :] = gram_schmidt(cands, np.full(n, 1.0 / n))[1:].real
     return out
 
 
@@ -248,11 +248,12 @@ def _diag_stack(vectors):
 def _amplify(stack, rest):
     """The stack ``a (x) 1_rest`` for each ``a`` of an (m, n, n) stack, written
     into the (m, n, rest, n, rest) zeros in one strided assignment and
-    returned as an (m, n*rest, n*rest) stack; ``stack`` itself if rest is 1."""
+    returned as an (m, n*rest, n*rest) stack of ``stack``'s dtype; ``stack``
+    itself if rest is 1."""
     if rest == 1:
         return stack
     m, n = stack.shape[:2]
-    out = np.zeros((m, n, rest, n, rest), dtype=complex)
+    out = np.zeros((m, n, rest, n, rest), dtype=stack.dtype)
     idx = np.arange(rest)
     out[:, :, idx, :, idx] = stack
     return out.reshape(m, n * rest, n * rest)
@@ -436,10 +437,21 @@ class Tower:
         if self.spec.kind == "tensor" and self._stack_entries(n) > MAX_STACK_ENTRIES:
             return self._tensor_expectation(n, x)
         basis = self.level_basis(n)
-        # sum(conj(b) * y) = conj(sum(b * conj(y))): conjugating y instead
-        # of the basis avoids copying the basis (up to 64 MB) on every call.
         flat = basis.reshape(basis.shape[0], -1)
-        ys = (x * self.weights).conj().reshape(len(x), -1)
+        b = len(x)
+        if flat.dtype == float:
+            # A real basis projects the real and imaginary parts as 2b real
+            # rows.  Both products stay real: ``complex @ float`` would copy
+            # the basis (up to 32 MB) to complex on every call.
+            xw = (x * self.weights).reshape(b, -1)
+            parts = (np.concatenate([xw.real, xw.imag]) @ flat.T) @ flat
+            out = np.empty(x.shape, dtype=complex)
+            out.real = parts[:b].reshape(x.shape)
+            out.imag = parts[b:].reshape(x.shape)
+            return out
+        # sum(conj(b) * y) = conj(sum(b * conj(y))): conjugating y instead
+        # of the basis avoids copying the basis on every call.
+        ys = (x * self.weights).conj().reshape(b, -1)
         coeffs = (flat @ ys.T).conj()
         return (coeffs.T @ flat).reshape(x.shape)
 
@@ -468,7 +480,8 @@ class Tower:
         return self.level_dim(k) * self.dim * self.dim
 
     def level_basis(self, k):
-        """Trace-orthonormal basis of level ``k``, identity first: (m, d, d)."""
+        """Trace-orthonormal basis of level ``k``, identity first: (m, d, d);
+        real (``float64``) on tensor towers, complex otherwise."""
         self._check_level(k)
         if k not in self._level_cache:
             if self._stack_entries(k) > MAX_STACK_ENTRIES:

@@ -559,9 +559,7 @@ def _pair_trial(run, point, rng):
               - lams * distribution(s12, lams))
     failures = [("quasi_triangle", {"lambda": float(lams[i])}, float(slacks[i]))
                 for i in np.flatnonzero(slacks < -HARD_SLACK)]
-    # one call per martingale keeps each one's arithmetic that of a lone
-    # trial; stacked, the rounding-size self-adjointness error would move
-    pair = [random_martingale(tower, "gaussian", [rng])[0] for _ in range(2)]
+    pair = random_martingale(tower, "gaussian", [rng, rng])
     res = selfadjointness_check(*pair, 0.5, run.coeffs)
     if not res["ok"]:
         failures.append(("selfadjoint", {}, res["abs_error"]))

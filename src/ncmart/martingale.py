@@ -133,11 +133,9 @@ def level_differences(tower: Tower, sources, out):
     differences of ``adapt``.  Level ``k`` takes ``E_k`` of ``s_k`` and
     ``s_{k+1}`` of every row before it writes ``out[:, k-1]``, so ``out``
     may be ``sources`` itself, and only one level's expectations are held.
-    Dense operators of several rows go through one ``conditional_expectation``
-    call; a lone row's go one at a time, since a product with two columns
-    reads a level basis no faster than two matrix-vector products.  Diagonal
-    operators (a (b, c, d) stack, on a tensor or abelian tower) take their
-    block means all at once.
+    Dense operators go through one ``conditional_expectation`` call per
+    level.  Diagonal operators (a (b, c, d) stack, on a tensor or abelian
+    tower) take their block means all at once.
     """
     per_level = sources.shape[1] > 1
     below = 0.0  # E_{k-1} s_k
@@ -145,10 +143,8 @@ def level_differences(tower: Tower, sources, out):
         s = sources[:, k - 1 : k + 1] if per_level else sources[:, :1]
         if s.ndim == 3:
             e = tower._diag_expectation(k, s)
-        elif len(s) > 1:
-            e = tower.conditional_expectation(k, s.reshape(-1, *s.shape[2:])).reshape(s.shape)
         else:
-            e = np.stack([tower.conditional_expectation(k, x) for x in s[0]])[None]
+            e = tower.conditional_expectation(k, s.reshape(-1, *s.shape[2:])).reshape(s.shape)
         np.subtract(e[:, 0], below, out=out[:, k - 1])
         below = e[:, -1]
     return out

@@ -70,17 +70,20 @@ class SingularValueFunction:
 
         Taken in decreasing order, samples of zero weight are dropped and
         each run of equal values is one piece, whose ``cums`` entry is the
-        running total of the weights at its last sample.  When all weights
-        are equal, as on every uniform trace, sorting the values gives that
-        order and the same totals.  A value or weight that is NaN or
-        infinite raises ``ArithmeticError``: it comes from a computation
-        that overflowed, so it is a numerical failure.
+        running total of the weights at its last sample.  A piece over which
+        that total, capped at 1, does not grow weighs less than the total's
+        rounding and is dropped.  When all weights are equal, as on every
+        uniform trace, sorting the values gives that order and the same
+        totals.  A value or weight that is NaN or infinite raises
+        ``ArithmeticError``: it comes from a computation that overflowed, so
+        it is a numerical failure.
         """
         values = np.asarray(values, dtype=float)
         weights = np.asarray(weights, dtype=float)
         if not (np.isfinite(values).all() and np.isfinite(weights).all()):
             raise ArithmeticError("spectrum has a NaN or infinite value or weight")
-        if (weights == weights[:1]).all():
+        uniform = (weights == weights[:1]).all()
+        if uniform:
             values = np.sort(values)[::-1] if weights.size and weights[0] > 0 else values[:0]
         else:
             order = np.argsort(values)[::-1]
@@ -92,6 +95,14 @@ class SingularValueFunction:
         cums = np.cumsum(weights)
         if not last.all():
             values, cums = values[last], cums[last]
+        if not uniform:
+            # A piece over which the running total does not grow below 1 has
+            # a measure under its rounding, and no norm sees it.  (Equal
+            # weights, 1/d each on a uniform trace, always grow it.)
+            np.minimum(cums, 1.0, out=cums)
+            grows = np.append(True, cums[1:] > cums[:-1])
+            if not grows.all():
+                values, cums = values[grows], cums[grows]
         cums[-1] = 1.0  # weights sum to tau(1) = 1 up to rounding
         return SingularValueFunction(np.maximum(values, 0.0), cums)
 

@@ -397,6 +397,63 @@ def test_tensor_basis_build_peaks_below_one_and_a_half_stacks(build):
     assert peak < 1.5 * stack.nbytes
 
 
+# Every level of these towers; 2^6 stops below its top level, a 128 MB stack
+# that no expectation builds (the full level is a copy).
+REAL_BASIS_TOWERS = [("tensor:2,2,2,2,2,2", 5), ("tensor:3,4", 2), ("tensor:2,3,3", 3)]
+
+
+@pytest.mark.parametrize("spec, levels", REAL_BASIS_TOWERS)
+def test_tensor_level_bases_are_real_and_orthonormal(spec, levels):
+    t = Tower(FiltrationSpec.parse(spec))
+    for k in range(1, levels + 1):
+        basis = t.level_basis(k)
+        assert basis.dtype == np.float64
+        flat = basis.reshape(len(basis), -1)
+        assert np.allclose((flat @ flat.T) / t.dim, np.eye(len(basis)), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("spec, levels", REAL_BASIS_TOWERS)
+def test_real_basis_expectation_matches_partial_trace(spec, levels, rng):
+    t = Tower(FiltrationSpec.parse(spec))
+    for b in (1, 3, 12):
+        x = rng.standard_normal((b, t.dim, t.dim)) + 1j * rng.standard_normal((b, t.dim, t.dim))
+        for k in range(1, min(levels, t.n_levels - 1) + 1):
+            want = t._tensor_expectation(k, x)
+            err = np.linalg.norm(t.conditional_expectation(k, x) - want)
+            assert err <= 1e-13 * np.linalg.norm(want)
+            real, want = t.conditional_expectation(k, x.real), t._tensor_expectation(k, x.real)
+            assert np.all(real.imag == 0)
+            assert np.linalg.norm(real - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_custom_bases_stay_complex(custom4, rng):
+    """Custom levels keep their complex bases and project through them as before."""
+    for t in (custom4, _weighted_chain()):
+        x = rng.standard_normal((3, t.dim, t.dim)) + 1j * rng.standard_normal((3, t.dim, t.dim))
+        for k in range(1, t.n_levels):
+            basis = t.level_basis(k)
+            assert basis.dtype == np.complex128
+            coeffs = np.einsum("j,mij,bij->bm", t.weights, basis.conj(), x)
+            want = np.einsum("bm,mij->bij", coeffs, basis)
+            assert np.allclose(t.conditional_expectation(k, x), want, rtol=0, atol=1e-13)
+
+
+def test_real_basis_expectation_does_not_copy_the_basis(rng):
+    """E_5 of twelve operators on 2^6 allocates its rows, not a complex copy
+    of the 32 MiB basis, as ``complex @ float`` would."""
+    t = Tower(FiltrationSpec.tensor([2] * 6))
+    assert t.level_basis(5).nbytes == 32 * 2**20
+    x = rng.standard_normal((12, 64, 64)) + 1j * rng.standard_normal((12, 64, 64))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        t.conditional_expectation(5, x)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_project_difference_orthogonality(any_tower, rng):
     t = any_tower
     x = rng.standard_normal((t.dim, t.dim)) + 1j * rng.standard_normal((t.dim, t.dim))

@@ -139,6 +139,29 @@ def test_from_spectrum_merges_ties():
     assert np.allclose(s.cums, [0.5, 1.0])
 
 
+@pytest.mark.parametrize("weights, values, cums", [
+    ([0.5, 0.5, 1e-17], [2.0, 1.0], [0.5, 1.0]),   # the running total stays at 1
+    ([0.5, 0.5, 2e-16], [2.0, 1.0], [0.5, 1.0]),   # it passes 1 by one rounding
+    ([0.5, 1e-17, 0.5], [2.0, 0.5], [0.5, 1.0]),   # an inner piece
+])
+def test_from_spectrum_drops_pieces_below_the_rounding(weights, values, cums):
+    """A weight below the running total's rounding is no piece, not an error."""
+    s = SingularValueFunction.from_spectrum([2.0, 1.0, 0.5], weights)
+    assert s.values.tolist() == values
+    assert s.cums.tolist() == cums
+
+
+def test_tiny_trace_weight_keeps_the_norms():
+    """On a trace whose smallest weight is below rounding, the norms are
+    those of the spectrum without that weight's piece."""
+    atoms = [np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])]
+    tower = build_tower(FiltrationSpec.custom([atoms], weights=[0.5, 0.5, 1e-17]))
+    s = singular_value_function(tower, np.diag([2.0, 1.0, 0.5]))
+    ps = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
+    without = SingularValueFunction.from_spectrum([2.0, 1.0], [0.5, 0.5])
+    assert np.array_equal(lp_norm(s, ps), lp_norm(without, ps))
+
+
 @pytest.mark.parametrize("values, weights", [
     ([math.nan, 1.0], [0.5, 0.5]),
     ([2.0, 1.0], [math.nan, 0.5]),
