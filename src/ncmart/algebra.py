@@ -417,6 +417,7 @@ class Tower:
         a level basis of ``m`` elements a stack costs one ``(m, d^2) @
         (d^2, b)`` and one ``(b, m) @ (m, d^2)`` product, where ``b`` calls
         would each read the whole basis; a dense operator is a stack of one.
+        Through a real basis the products take ``2b`` real rows instead.
         """
         self._check_level(n, lo=0)
         x = self._check_stack(x)
