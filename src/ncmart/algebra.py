@@ -287,7 +287,6 @@ class Tower:
     def __init__(self, spec: FiltrationSpec):
         self.spec = spec
         self._level_cache = {}
-        self._diff_cache = {}
         if spec.kind == "tensor":
             self.factor_dims = tuple(spec.dims)
             self.dim = int(np.prod(self.factor_dims))
@@ -313,24 +312,33 @@ class Tower:
             raise TowerError("custom spanning sets must share one square shape")
         self.dim = d
         self.n_levels = len(sets)
+        uniform = np.full(d, 1.0 / d)
         if spec.weights:
             w = np.asarray(spec.weights, dtype=float)
             if w.shape != (d,) or np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-9:
                 raise TowerError("trace weights must be positive and sum to 1")
         else:
-            w = np.full(d, 1.0 / d)
+            w = uniform
         self.weights = w
 
         eye = np.eye(d, dtype=complex)
-        prev = None
+        prev_onb = prev = None
         for k, s in enumerate(sets, start=1):
-            basis = gram_schmidt([eye, *s], w)
-            self._validate_custom_level(k, basis, prev)
+            # Structure does not depend on the trace, and under 1/d a tiny
+            # weight can neither inflate nor hide a residual.
+            onb = gram_schmidt([eye, *s], uniform)
+            self._validate_custom_level(k, onb, prev_onb)
+            basis = gram_schmidt([eye, *s], w) if spec.weights else onb
+            if prev is not None:
+                # continuing level k-1's basis puts a basis of D_k after it
+                basis = gram_schmidt(np.concatenate([prev, basis]), w)
+            basis.setflags(write=False)
             self._level_cache[k] = basis
-            prev = basis
+            prev_onb, prev = onb, basis
 
     def _validate_custom_level(self, k, basis, prev):
-        root = np.sqrt(np.broadcast_to(self.weights, basis.shape[1:])).ravel()
+        """``basis`` and ``prev`` are orthonormal under the uniform trace."""
+        root = math.sqrt(1.0 / self.dim)
         onb = basis.reshape(len(basis), -1) * root
         adj = onb.conj().T
 
@@ -481,20 +489,29 @@ class Tower:
         return self.level_dim(k) * self.dim * self.dim
 
     def level_basis(self, k):
-        """Trace-orthonormal basis of level ``k``, identity first: (m, d, d);
-        real (``float64``) on tensor towers, complex otherwise."""
+        """Read-only trace-orthonormal basis of level ``k``: (m, d, d), real on
+        tensor towers; the identity, the rest of level ``k - 1``, then ``D_k``."""
         self._check_level(k)
         if k not in self._level_cache:
             if self._stack_entries(k) > MAX_STACK_ENTRIES:
                 raise TowerError(f"level {k} basis too large to materialize")
             self._level_cache[k] = self._build_level(k)
+            self._level_cache[k].setflags(write=False)
         return self._level_cache[k]
 
     def _build_level(self, k):
         if self.spec.kind == "abelian_dyadic":
             return _diag_stack(self._level_diag_basis(k))
-        d_sub = self._sub_dims[k]
-        return _amplify(_unital_onb(d_sub), self.dim // d_sub)
+        # u (x) w (x) 1_rest over u of (M_{d_prev}, tr) and w of the k-th
+        # factor, w outermost: the w = 1 block spans level k-1, the rest D_k
+        d_prev, nk = self._sub_dims[k - 1], self.factor_dims[k - 1]
+        rest = self.dim // (d_prev * nk)
+        u, w = _unital_onb(d_prev), _unital_onb(nk)
+        out = np.zeros((nk * nk, d_prev * d_prev, d_prev, nk, rest, d_prev, nk, rest))
+        idx = np.arange(rest)
+        for i, a, b in zip(*np.nonzero(w)):
+            out[i, :, :, a, idx, :, b, idx] = w[i, a, b] * u
+        return out.reshape(-1, self.dim, self.dim)
 
     def _level_diag_basis(self, k):
         vecs = [np.ones(self.dim, dtype=complex)]
@@ -503,35 +520,13 @@ class Tower:
         return np.stack(vecs)
 
     def difference_basis(self, k):
-        """Trace-orthonormal basis of ``D_k`` = level k minus level k-1.
+        """Trace-orthonormal basis of ``D_k`` = level k minus level k-1: the
+        view of ``level_basis(k)`` past its first ``level_dim(k - 1)`` rows.
 
         With the convention ``E_0 = 0`` the first difference subspace is the
         whole first level, identity included.
         """
-        self._check_level(k)
-        if k not in self._diff_cache:
-            if self._stack_entries(k) - self._stack_entries(k - 1) > MAX_STACK_ENTRIES:
-                raise TowerError(f"D_{k} basis too large to materialize")
-            self._diff_cache[k] = self._build_difference(k)
-        return self._diff_cache[k]
-
-    def _build_difference(self, k):
-        if k == 1:
-            return self.level_basis(1)
-        if self.spec.kind == "abelian_dyadic":
-            return _diag_stack(_haar_vectors(self.dim, k))
-        if self.spec.kind == "tensor":
-            # (sqrt(d) E_ij) (x) w (x) 1_rest over the units E_ij of level k-1
-            # in row-major order and the traceless basis w of the k-th factor
-            d_prev = self._sub_dims[k - 1]
-            nk = self.factor_dims[k - 1]
-            units = np.eye(d_prev * d_prev, dtype=complex).reshape(-1, d_prev, d_prev)
-            units *= math.sqrt(d_prev)
-            return _amplify(np.kron(units, _unital_onb(nk)[1:]), self.dim // (d_prev * nk))
-        # Gram-Schmidt continued past level k-1 spans the rest of level k
-        lower = self.level_basis(k - 1)
-        both = np.concatenate([lower, self.level_basis(k)])
-        return gram_schmidt(both, self.weights)[len(lower):]
+        return self.level_basis(k)[self.level_dim(k - 1):]
 
     def project_difference(self, k, x):
         """Trace-orthogonal projection of ``x`` onto ``D_k``: ``(E_k - E_{k-1}) x``;

@@ -188,7 +188,7 @@ def operator_norm(x) -> float:
     x = np.asarray(x, dtype=complex)
     if x.ndim == 1:
         return float(np.max(np.abs(x))) if x.size else 0.0
-    return float(np.linalg.norm(x, 2))
+    return float(_svd(x, False)[0])
 
 
 def _root_power_sum(values, weights, p):

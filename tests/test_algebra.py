@@ -318,25 +318,12 @@ def _reference_unital_onb(n):
 
 
 def _reference_level(t, k):
-    d_sub = math.prod(t.factor_dims[:k])
-    eye = np.eye(t.dim // d_sub, dtype=complex)
-    return np.stack([np.kron(b, eye) for b in _reference_unital_onb(d_sub)])
-
-
-def _reference_difference(t, k):
-    if k == 1:
-        return _reference_level(t, 1)
+    """u (x) w (x) 1_rest over u of (M_{d_prev}, tr) and w of the k-th factor, w outermost."""
     d_prev = math.prod(t.factor_dims[: k - 1])
     nk = t.factor_dims[k - 1]
     eye = np.eye(t.dim // (d_prev * nk), dtype=complex)
-    out = []
-    for i in range(d_prev):
-        for j in range(d_prev):
-            unit = np.zeros((d_prev, d_prev), dtype=complex)
-            unit[i, j] = math.sqrt(d_prev)
-            for w in _reference_unital_onb(nk)[1:]:
-                out.append(np.kron(np.kron(unit, w), eye))
-    return np.stack(out)
+    return np.stack([np.kron(np.kron(u, w), eye)
+                     for w in _reference_unital_onb(nk) for u in _reference_unital_onb(d_prev)])
 
 
 @pytest.mark.parametrize("spec, levels", [
@@ -344,11 +331,46 @@ def _reference_difference(t, k):
     ("tensor:2,2,2,2,2,2", 5),
 ])
 def test_tensor_bases_equal_elementwise_kron(spec, levels):
-    """The strided builders give the per-element Kronecker products value for value."""
+    """The strided builder gives the per-element Kronecker products value for value."""
     t = Tower(FiltrationSpec.parse(spec))
     for k in range(1, levels + 1):
         assert np.array_equal(t.level_basis(k), _reference_level(t, k))
-        assert np.array_equal(t.difference_basis(k), _reference_difference(t, k))
+
+
+def _own_tower(request, name):
+    """An unshared tower: ``custom4``, ``weighted`` (the weighted chain) or a CLI spec."""
+    if name == "custom4":
+        return Tower(request.getfixturevalue("custom4").spec)
+    if name == "weighted":
+        return Tower(_weighted_chain().spec)
+    return Tower(FiltrationSpec.parse(name))
+
+
+@pytest.mark.parametrize("name", ["tensor:2,2,2", "tensor:3,4", "tensor:2,3,3", "abelian:3",
+                                  "custom4", "weighted"])
+def test_difference_basis_is_the_tail_of_its_level(request, name):
+    """Level k's basis lists level k-1 first; D_k is the rest of it, as a view."""
+    t = _own_tower(request, name)
+    for k in range(1, t.n_levels + 1):
+        level, tail = t.level_basis(k), t.difference_basis(k)
+        assert np.shares_memory(tail, level)
+        head = level[: t.level_dim(k - 1)]
+        assert len(head) + len(tail) == len(level)
+        assert np.allclose(t.conditional_expectation(k - 1, head), head, rtol=0, atol=1e-12)
+        if k > 1:
+            lower = t.level_basis(k - 1)
+            gram = np.einsum("j,aij,bij->ab", t.weights, tail, lower.conj())
+            assert np.abs(gram).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["tensor:2,3", "abelian:3", "custom4", "weighted"])
+def test_cached_bases_are_read_only(request, name):
+    """Towers are shared, so a write through a cached basis would change later runs."""
+    t = _own_tower(request, name)
+    for k in range(1, t.n_levels + 1):
+        for basis in (t.level_basis(k), t.difference_basis(k)):
+            with pytest.raises(ValueError):
+                basis[0, 0, 0] = 2.0
 
 
 def test_tensor_expectation_equals_einsum_reference(rng):
@@ -383,18 +405,31 @@ def test_abelian_bases_equal_loop_reference():
             assert np.array_equal(t.difference_basis(k), np.stack([np.diag(v) for v in haar(k)]))
 
 
-@pytest.mark.parametrize("build", ["level_basis", "difference_basis"])
-def test_tensor_basis_build_peaks_below_one_and_a_half_stacks(build):
-    """Level 5 and D_5 of 2^6 are written in place, not copied from a list."""
+def test_tensor_basis_build_peaks_below_one_and_a_half_stacks():
+    """Level 5 of 2^6 is written in place, not copied from a list."""
     t = Tower(FiltrationSpec.tensor([2] * 6))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        stack = getattr(t, build)(5)
+        stack = t.level_basis(5)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * stack.nbytes
+
+
+def test_difference_basis_after_its_level_allocates_no_stack():
+    """D_5 of 2^6 is a view of the level 5 basis, not a second 24 MiB stack."""
+    t = Tower(FiltrationSpec.tensor([2] * 6))
+    t.level_basis(5)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        t.difference_basis(5)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
 
 
 # Every level of these towers; 2^6 stops below its top level, a 128 MB stack
@@ -550,6 +585,17 @@ def test_custom_tower_rejects_non_algebra():
     m[0, 1] = m[1, 0] = 1.0
     with pytest.raises(TowerError, match="custom level 1 span is not an algebra"):
         build_tower(FiltrationSpec.custom([[m]]))
+
+
+def test_custom_validation_does_not_depend_on_the_trace():
+    """A tiny trace weight neither refuses a valid level nor admits an invalid one."""
+    tiny = [0.5, 0.5, 1e-17]
+    atoms = build_tower(FiltrationSpec.custom([[np.diag(r) for r in np.eye(3)]], weights=tiny))
+    assert atoms.level_dim(1) == 3
+    m = np.zeros((3, 3), dtype=complex)
+    m[0, 1] = m[1, 0] = 1.0
+    with pytest.raises(TowerError, match="custom level 1 span is not an algebra"):
+        build_tower(FiltrationSpec.custom([[m]], weights=tiny))
 
 
 def test_custom_tower_rejects_broken_nesting():

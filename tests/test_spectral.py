@@ -331,6 +331,20 @@ def test_eigvalsh_failure_names_the_failing_matrix_of_a_stack(monkeypatch):
     assert isinstance(from_stack.value.__cause__, np.linalg.LinAlgError)
 
 
+def test_operator_norm_failure_is_numerical(monkeypatch, rng):
+    """A failed solve in ``operator_norm`` names its operator, so a run reports
+    it as a trial error, not as a usage error."""
+    x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    assert operator_norm(x) == float(np.linalg.norm(x, 2))
+
+    def fail(a, compute_uv=True):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(ArithmeticError, match="failed on operator sha256:"):
+        operator_norm(x)
+
+
 EXPONENTS = st.sampled_from([0.25, 0.5, 1.0, 4.0 / 3.0, 1.5, 2.0, 3.0, 20.0, 32.0, 33.0,
                              400.0, math.inf]) | st.floats(min_value=0.1, max_value=64.0)
 
