@@ -52,7 +52,6 @@ from .spectral import (
     operator_norm,
     singular_value_function,
     weak_norm,
-    weak_norm_distribution,
 )
 
 __version__ = "0.1.0"
@@ -61,7 +60,7 @@ __all__ = [
     "FiltrationSpec", "Tower", "TowerError", "build_tower", "gram_schmidt",
     "operator_from_json", "operator_to_json",
     "SingularValueFunction", "singular_value_function", "lp_norm",
-    "lorentz_norm", "weak_norm", "weak_norm_distribution", "distribution",
+    "lorentz_norm", "weak_norm", "distribution",
     "operator_norm",
     "MartingaleSequence", "adapt", "column_square_function",
     "hardy_column_norm", "hardy_row_norm",

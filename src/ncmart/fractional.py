@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import Tower, TowerError
 from .martingale import MartingaleSequence
-from .spectral import lp_norm, singular_value_function
+from .spectral import _svd, lp_norm, singular_value_function
 
 __all__ = [
     "CoefficientSequence",
@@ -70,21 +70,8 @@ class CoefficientSequence:
 
 
 def _top_singular_pairs(xs):
-    """Top singular triples (sigma, u, v) of a stack of matrices.
-
-    LAPACK's SVD can fail to converge on a stack (one stack of iterates on
-    ``tensor:4,4,4`` at k=2 with seed 0 does).  The top triples of that stack
-    are then read off ``eigh(x^* x)``: ``sigma = sqrt(lambda_max)``, ``v``
-    its eigenvector and ``u = x v / sigma``.  Squaring the matrix costs
-    accuracy only in the small singular values, which are never used here.
-    """
-    try:
-        u, s, vh = np.linalg.svd(xs)
-    except np.linalg.LinAlgError:
-        w, vecs = np.linalg.eigh(np.conj(np.swapaxes(xs, -1, -2)) @ xs)
-        sigma = np.sqrt(w[:, -1])
-        v = vecs[:, :, -1]
-        return sigma, np.einsum("spq,sq->sp", xs, v) / sigma[:, None], v
+    """Top singular triples (sigma, u, v) of a stack of matrices."""
+    u, s, vh = _svd(xs, True)
     return s[:, 0], u[:, :, 0], vh[:, 0, :].conj()
 
 
@@ -132,17 +119,25 @@ def _alternating_max(basis_flat, d, starts, tol, cap):
 def zeta_optimize(tower: Tower, k, restarts=32, tol=1e-10, seed=0, return_details=False):
     """Subspace constant of ``D_k`` by alternating maximization.
 
-    Runs random complex-Gaussian restarts plus basis-element starts (the
-    most promising ``BASIS_START_CAP`` of them iterate to stationarity; all
-    basis elements are at least evaluated).  Returns an upper bound on the
-    constant; closed forms bound it from the other side in tests.
+    Every basis element of ``D_k`` is evaluated first (singular values
+    only).  ``D_k`` lies in level ``k``, so the ratio is at most
+    ``cap = tower.level_constant(k) ** -0.5``.  When a basis element reaches
+    ``cap`` within ``tol``, the level is certified without a search: the
+    ``restarts`` random complex-Gaussian starts are evaluated once, as a
+    check against the cap.  Otherwise the search iterates the most promising
+    ``BASIS_START_CAP`` basis elements and the random starts to
+    stationarity, and stops as soon as it reaches ``cap`` within ``tol``.
+    Returns an upper bound on the constant; closed forms bound it from the
+    other side in tests.
 
-    ``D_k`` lies in level ``k``, so the ratio is at most
-    ``tower.level_constant(k) ** -0.5``.  The search stops as soon as it
-    reaches that bound within ``tol``, and a ratio above it by more than
-    rounding raises ``ArithmeticError``.  The details record the bound
-    (``upper_bound``, ``None`` where the tower has none) and whether it was
-    reached (``certified``): then the constant equals the level constant.
+    A ratio above ``cap`` by more than rounding raises ``ArithmeticError``.
+    The details record the bound (``upper_bound``, ``None`` where the tower
+    has none), whether it was reached (``certified``; then the constant
+    equals the level constant), and what ran: the search's basis starts
+    (``basis_starts``, 0 when the basis evaluation certified the level), the
+    random starts (``restarts``) and the five best objectives of the starts
+    (``per_start_top``: where the path stopped, or the single evaluation of
+    each random start on a level certified without a search).
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -157,17 +152,23 @@ def zeta_optimize(tower: Tower, k, restarts=32, tol=1e-10, seed=0, return_detail
     level = tower.level_constant(k)
     cap = None if level is None else level**-0.5
 
-    # objective at every basis element; only the best ones iterate
-    base_obj, _, _ = _top_singular_pairs(basis)
-    order = np.argsort(base_obj)[::-1]
-    iter_basis = order[: min(m, BASIS_START_CAP)]
-
+    base_obj = _svd(basis, False)[:, 0]
     rng = np.random.default_rng(seed)
     rand = rng.standard_normal((restarts, m)) + 1j * rng.standard_normal((restarts, m))
     rand /= np.linalg.norm(rand, axis=1, keepdims=True)
-    starts = np.concatenate([np.eye(m, dtype=complex)[iter_basis], rand])
 
-    obj, _ = _alternating_max(basis_flat, d, starts, tol, cap)
+    if cap is not None and base_obj.max() * (1 + tol) >= cap:
+        # a basis element is extremal; the random starts are only checked
+        basis_starts = 0
+        obj = _svd((rand @ basis_flat).reshape(restarts, d, d), False)[:, 0]
+    else:
+        # the best basis elements and the random starts iterate
+        top = np.argsort(base_obj)[::-1][:BASIS_START_CAP]
+        basis_starts = top.size
+        starts = np.zeros((basis_starts + restarts, m), dtype=complex)
+        starts[np.arange(basis_starts), top] = 1.0
+        starts[basis_starts:] = rand
+        obj, _ = _alternating_max(basis_flat, d, starts, tol, cap)
     best = max(float(np.max(obj)), float(np.max(base_obj)))
     if cap is not None and best > cap * (1 + CAP_ROUNDING):
         raise ArithmeticError(
@@ -177,7 +178,7 @@ def zeta_optimize(tower: Tower, k, restarts=32, tol=1e-10, seed=0, return_detail
         details = {
             "level": k,
             "restarts": restarts,
-            "basis_starts": int(iter_basis.size),
+            "basis_starts": basis_starts,
             "basis_dim": int(m),
             "best_ratio": best,
             "per_start_top": sorted((float(o) for o in obj), reverse=True)[:5],

@@ -20,7 +20,6 @@ __all__ = [
     "lp_norm",
     "lorentz_norm",
     "weak_norm",
-    "weak_norm_distribution",
     "distribution",
     "operator_norm",
 ]
@@ -149,13 +148,39 @@ def _root_spectrum(tower, h, x):
     return vals, np.clip(weights, 0.0, None)
 
 
+def _adjoint(x):
+    return np.conj(np.swapaxes(x, -1, -2))
+
+
 def _svd(x, compute_uv):
-    """``np.linalg.svd`` of the operator ``x``; a failure raises
-    ``ArithmeticError`` naming ``x`` by digest, as in ``_eigh``."""
+    """``np.linalg.svd`` of the operator ``x``, or of a stack of them.
+
+    LAPACK's SVD can fail to converge on structured matrices.  It is then
+    retried on ``x*`` and, if that fails too, on the R factor of
+    ``np.linalg.qr(x)``; both have the singular values of ``x``, and the
+    singular vectors are mapped back.  Only when all three fail does it
+    raise ``ArithmeticError`` naming ``x`` by digest, as in ``_eigh``.
+    """
     try:
         return np.linalg.svd(x, compute_uv=compute_uv)
+    except np.linalg.LinAlgError:
+        pass
+    try:
+        out = np.linalg.svd(_adjoint(x), compute_uv=compute_uv)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        if compute_uv:  # x = (u s vh)* = vh* s u*
+            out = (_adjoint(out[2]), out[1], _adjoint(out[0]))
+        return out
+    try:
+        q, r = np.linalg.qr(x)
+        out = np.linalg.svd(r, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise _solver_failure(x, "singular value solver") from exc
+    if compute_uv:  # x = q r = (q u) s vh
+        out = (q @ out[0], out[1], out[2])
+    return out
 
 
 def _absolute_value_spectrum(tower, x):
@@ -272,23 +297,6 @@ def weak_norm(s: SingularValueFunction, p, check_range=True) -> float:
     if p <= 0:
         raise ValueError("p must be positive")
     return float(np.max(s.values * s.cums ** (1.0 / p)))
-
-
-def weak_norm_distribution(s: SingularValueFunction, p, lambdas=None) -> float:
-    """Weak norm via ``sup_l l * d(l)^{1/p}`` over a level grid.
-
-    Defaults to levels just below each breakpoint value, where the supremum
-    of the distribution form is attained for a step function.
-    """
-    p = float(p)
-    if p < 1:
-        raise ValueError("weak norm requires p >= 1")
-    if lambdas is None:
-        lambdas = s.values[s.values > 0] * (1.0 - 1e-12)
-    lambdas = np.asarray(lambdas, dtype=float)
-    if lambdas.size == 0:
-        return 0.0
-    return float(np.max(lambdas * distribution(s, lambdas) ** (1.0 / p)))
 
 
 def distribution(s: SingularValueFunction, lam):

@@ -23,8 +23,8 @@ from ncmart.spectral import (
     lp_norm,
     singular_value_function,
     weak_norm,
-    weak_norm_distribution,
 )
+from reference_norms import weak_norm_distribution
 
 
 _CAPTURE = None

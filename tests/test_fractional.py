@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import ncmart.fractional as fractional
 import ncmart.martingale as mg
 from ncmart.algebra import FiltrationSpec, Tower, TowerError, build_tower
 from ncmart.fractional import (
     CoefficientSequence,
-    _top_singular_pairs,
     embedding_constants_check,
     fractional_integral,
     iterated_transform,
@@ -74,23 +74,33 @@ def test_optimizer_matches_closed_form(request, fixture, expected):
         assert got == pytest.approx(want, rel=1e-6)
 
 
-def test_optimizer_svd_fallback(tensor23, monkeypatch, rng):
-    """When LAPACK's SVD does not converge the top triples come from eigh."""
-    xs = rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6))
-    sigma, u, v = _top_singular_pairs(xs)
+def _failing_svd(monkeypatch, failures):
+    """Make the first ``failures`` calls of ``np.linalg.svd`` raise
+    ``LinAlgError``; returns the list of calls made."""
+    calls = []
+    svd = np.linalg.svd
 
-    def no_svd(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
+    def flaky(*args, **kwargs):
+        calls.append(1)
+        if len(calls) <= failures:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", no_svd)
-    f_sigma, f_u, f_v = _top_singular_pairs(xs)
-    assert np.allclose(f_sigma, sigma, rtol=1e-12)
-    # singular vectors agree up to a common phase per matrix
-    phase = np.einsum("sp,sp->s", v.conj(), f_v)
-    assert np.allclose(np.abs(phase), 1.0, atol=1e-10)
-    assert np.allclose(f_v, v * phase[:, None], atol=1e-10)
-    assert np.allclose(f_u, u * phase[:, None], atol=1e-10)
+    monkeypatch.setattr(np.linalg, "svd", flaky)
+    return calls
+
+
+def test_optimizer_svd_fallback(tensor23, monkeypatch):
+    """A failed SVD of the basis evaluation is retried, not fatal."""
+    calls = _failing_svd(monkeypatch, 1)
     assert zeta_optimize(tensor23, 2, restarts=8) == pytest.approx(1 / 6, rel=1e-6)
+    assert len(calls) == 3  # the failed basis call, its retry, the random starts
+
+
+def test_optimizer_svd_failure_is_numerical(tensor23, monkeypatch):
+    _failing_svd(monkeypatch, math.inf)
+    with pytest.raises(ArithmeticError, match="singular value solver failed on operator sha256:"):
+        zeta_optimize(tensor23, 2, restarts=8)
 
 
 def test_optimizer_is_an_upper_bound_on_zeta(tensor222):
@@ -114,50 +124,113 @@ def test_optimizer_rejects_bad_tol(tensor22, tol):
         zeta_optimize(tensor22, 2, tol=tol)
 
 
+def _no_search(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("alternating maximization entered")
+
+    monkeypatch.setattr(fractional, "_alternating_max", fail)
+
+
 def test_optimizer_stops_at_level_bound(monkeypatch):
-    """A matrix unit reaches the level bound among the basis starts, so the
-    search ends after its first step."""
-    calls = []
-    svd = np.linalg.svd
-
-    def counting_svd(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    """A matrix unit in the basis of D_3 reaches the level bound, so the
+    level is certified from the basis evaluation: one SVD of the basis, one
+    of the random starts, and no search."""
+    calls = _failing_svd(monkeypatch, 0)
+    _no_search(monkeypatch)
     tower = build_tower(FiltrationSpec.parse("tensor:2,3,3"))
     z, det = zeta_optimize(tower, 3, return_details=True)
-    assert len(calls) <= 3
+    assert len(calls) == 2
     assert det["certified"] is True
     assert det["upper_bound"] == pytest.approx(math.sqrt(18), rel=1e-15)
+    assert det["basis_starts"] == 0 and det["restarts"] == 32
+    assert len(det["per_start_top"]) == 5 and max(det["per_start_top"]) < math.sqrt(18)
     assert z == pytest.approx(1 / 18, rel=1e-12)
 
 
-def test_optimizer_below_level_bound(abelian3):
-    """D_3 of abelian:3 has constant 2^-2, its level 2^-3: no certificate."""
+def _counting_search(monkeypatch):
+    """Count the calls of ``_alternating_max``; returns the list of calls."""
+    entered = []
+    search = fractional._alternating_max
+
+    def counting(*args):
+        entered.append(1)
+        return search(*args)
+
+    monkeypatch.setattr(fractional, "_alternating_max", counting)
+    return entered
+
+
+def test_optimizer_below_level_bound(abelian3, monkeypatch):
+    """D_3 of abelian:3 has constant 2^-2, its level 2^-3: no certificate,
+    so the search runs from the basis starts and the random ones."""
+    entered = _counting_search(monkeypatch)
     z, det = zeta_optimize(abelian3, 3, restarts=8, return_details=True)
+    assert entered == [1] and det["basis_starts"] > 0 and det["restarts"] == 8
     assert z == pytest.approx(0.25, rel=1e-6)
     assert det["certified"] is False
     assert det["upper_bound"] == pytest.approx(math.sqrt(8), rel=1e-15)
 
 
 def test_optimizer_above_level_bound_is_numerical_failure(tensor22, monkeypatch):
+    """A basis element above the bound raises without a search."""
     monkeypatch.setattr(Tower, "level_constant", lambda self, k: 1.0)
+    _no_search(monkeypatch)
     with pytest.raises(ArithmeticError, match="level bound"):
         zeta_optimize(tensor22, 2, restarts=4)
 
 
-def test_optimizer_custom_tower(custom4):
+def test_optimizer_search_above_level_bound_is_numerical_failure(abelian3, monkeypatch):
+    """A search that passes a bound no basis element reaches raises too:
+    the basis of D_1 (the identity and a Haar step) has ratio 1, the
+    extremal two-valued element sqrt(2)."""
+    base = np.linalg.svd(abelian3.difference_basis(1), compute_uv=False)[:, 0]
+    assert base.max() == pytest.approx(1.0, rel=1e-12)
+    cap = (1 + math.sqrt(2)) / 2
+    monkeypatch.setattr(Tower, "level_constant", lambda self, k: cap**-2)
+    with pytest.raises(ArithmeticError, match="level bound"):
+        zeta_optimize(abelian3, 1, restarts=4)
+
+
+# ``zeta_sequence(tower, "optimize")`` as the search from every basis start
+# computed it before levels were certified from the basis evaluation.
+SEARCHED_ZETA = {
+    "tensor:3,4": ([0.33333333333333337, 0.08333333333333334], [True, True]),
+    "tensor:2,3,3": ([0.4999999999999999, 0.16666666666666663, 0.055555555555555566],
+                     [True, True, True]),
+    "tensor:2,2,2": ([0.4999999999999999, 0.2499999999999999, 0.12499999999999997],
+                     [True, True, True]),
+    "abelian:3": ([0.4999999999999998, 0.4999999999999998, 0.2499999999999999],
+                  [True, False, False]),
+    "abelian:4": ([0.4999999999999998, 0.4999999999999998, 0.2499999999999999,
+                   0.12499999999999994], [True, False, False, False]),
+    "custom4": ([0.4999999999999998, 0.4999999999999998, 0.25], [True, False, True]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHED_ZETA))
+def test_certified_levels_keep_the_searched_constants(request, name):
+    tower = (request.getfixturevalue(name) if name == "custom4"
+             else build_tower(FiltrationSpec.parse(name)))
+    seq = zeta_sequence(tower, "optimize")
+    values, certified = SEARCHED_ZETA[name]
+    assert list(seq.values) == pytest.approx(values, rel=1e-14, abs=0)
+    assert [dict(c)["certified"] for c in seq.certificates] == certified
+
+
+def test_optimizer_custom_tower(custom4, monkeypatch):
     # level 1 of the custom tower is spanned by two half projections:
     # the extremal normalized element is sqrt(2) p, so the constant is 1/2
     assert zeta_optimize(custom4, 1, restarts=8) == pytest.approx(0.5, rel=1e-6)
+    # D_2 reaches 1/2, below its level bound 1/4, so it is searched
+    entered = _counting_search(monkeypatch)
+    z, det = zeta_optimize(custom4, 2, restarts=8, return_details=True)
+    assert entered == [1] and det["certified"] is False
+    assert z == pytest.approx(0.5, rel=1e-6)
 
 
 def test_auto_sequence_is_optimized_once_per_tower(monkeypatch):
     """Equal custom specs share one tower, whose optimized ``auto``
     coefficients are computed once; ``optimize`` always reruns."""
-    import ncmart.fractional as fractional
-
     calls = []
     real = fractional.zeta_optimize
 

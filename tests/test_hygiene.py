@@ -155,8 +155,6 @@ def _unset_parameters(defining, calling):
 # Defaulted parameters that no program path sets, and why each stays.
 KEPT_PARAMETERS = {
     ("algebra", "custom", "weights"): "the only way to state a non-uniform trace",
-    ("spectral", "weak_norm_distribution", "lambdas"):
-        "weak_norm_distribution is the reference the weak-norm tests compare against",
     ("martingale", "hardy_mixed_upper", "refine"):
         "goes with the mixed-Hardy search, which a value-moving benchmark change deletes",
 }

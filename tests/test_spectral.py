@@ -10,14 +10,15 @@ from ncmart.algebra import FiltrationSpec, build_tower
 from ncmart.spectral import (
     SingularValueFunction,
     _eigvalsh,
+    _svd,
     distribution,
     lorentz_norm,
     lp_norm,
     operator_norm,
     singular_value_function,
     weak_norm,
-    weak_norm_distribution,
 )
+from reference_norms import weak_norm_distribution
 
 
 def step_functions():
@@ -343,6 +344,34 @@ def test_operator_norm_failure_is_numerical(monkeypatch, rng):
     monkeypatch.setattr(np.linalg, "svd", fail)
     with pytest.raises(ArithmeticError, match="failed on operator sha256:"):
         operator_norm(x)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (3, 5, 5)])
+@pytest.mark.parametrize("failures", [1, 2])
+def test_svd_retries_on_adjoint_then_r_factor(monkeypatch, rng, shape, failures):
+    """After one failure ``_svd`` solves ``x*``, after two the R factor of
+    ``qr(x)``; values and vectors are those of ``x`` either way."""
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = np.linalg.svd(x, compute_uv=False)
+    calls = []
+    svd = np.linalg.svd
+
+    def flaky(a, compute_uv=True):
+        calls.append(1)
+        if len(calls) <= failures:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, compute_uv=compute_uv)
+
+    monkeypatch.setattr(np.linalg, "svd", flaky)
+    assert np.allclose(_svd(x, False), want, rtol=1e-12)
+    calls.clear()
+    u, vals, vh = _svd(x, True)
+    assert len(calls) == failures + 1
+    assert np.allclose(vals, want, rtol=1e-12)
+    assert np.allclose((u * vals[..., None, :]) @ vh, x, atol=1e-12)
+    eye = np.eye(shape[-1])
+    assert np.allclose(np.conj(np.swapaxes(u, -1, -2)) @ u, eye, atol=1e-12)
+    assert np.allclose(vh @ np.conj(np.swapaxes(vh, -1, -2)), eye, atol=1e-12)
 
 
 EXPONENTS = st.sampled_from([0.25, 0.5, 1.0, 4.0 / 3.0, 1.5, 2.0, 3.0, 20.0, 32.0, 33.0,
