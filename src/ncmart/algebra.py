@@ -10,12 +10,19 @@ shape ``(d,)`` for a diagonal element (used by the abelian towers and by
 large tensor towers, where a dense representation is impractical).
 ``conditional_expectation`` and ``project_difference`` also take a
 ``(b, d, d)`` stack of dense elements and project all of them together.
+
+Level bases are nested: level ``k``'s basis is ``[D_1; D_2; ...; D_k]``,
+an orthonormal basis of each difference subspace ``D_j`` after the one
+before it, identity first.  A tower caches one read-only stack, the deepest
+level built so far; every lower level basis and every ``D_k`` basis is a
+view of its leading rows.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -286,16 +293,22 @@ class Tower:
 
     def __init__(self, spec: FiltrationSpec):
         self.spec = spec
-        self._level_cache = {}
+        # The basis of the deepest level built so far, read-only; level bases
+        # are nested, so every lower level and every D_k is a view of it.
+        # It is only ever replaced by a deeper stack, under ``_grow_lock``.
+        self._stack = None
+        self._grow_lock = threading.Lock()
         if spec.kind == "tensor":
             self.factor_dims = tuple(spec.dims)
             self.dim = int(np.prod(self.factor_dims))
             self.n_levels = len(self.factor_dims)
             self._sub_dims = [int(np.prod(self.factor_dims[:k])) for k in range(self.n_levels + 1)]
+            self._level_dims = (0,) + tuple(s * s for s in self._sub_dims[1:])
             self.weights = np.full(self.dim, 1.0 / self.dim)
         elif spec.kind == "abelian_dyadic":
             self.n_levels = int(spec.levels)
             self.dim = 1 << self.n_levels
+            self._level_dims = (0,) + tuple(1 << k for k in range(1, self.n_levels + 1))
             self.weights = np.full(self.dim, 1.0 / self.dim)
         else:
             self._init_custom(spec)
@@ -323,6 +336,7 @@ class Tower:
 
         eye = np.eye(d, dtype=complex)
         prev_onb = prev = None
+        dims = [0]
         for k, s in enumerate(sets, start=1):
             # Structure does not depend on the trace, and under 1/d a tiny
             # weight can neither inflate nor hide a residual.
@@ -332,9 +346,12 @@ class Tower:
             if prev is not None:
                 # continuing level k-1's basis puts a basis of D_k after it
                 basis = gram_schmidt(np.concatenate([prev, basis]), w)
-            basis.setflags(write=False)
-            self._level_cache[k] = basis
+            dims.append(len(basis))
             prev_onb, prev = onb, basis
+        # the last level's leading rows span each lower level
+        prev.setflags(write=False)
+        self._stack = prev
+        self._level_dims = tuple(dims)
 
     def _validate_custom_level(self, k, basis, prev):
         """``basis`` and ``prev`` are orthonormal under the uniform trace."""
@@ -375,13 +392,7 @@ class Tower:
 
     def level_dim(self, k):
         self._check_level(k, lo=0)
-        if k == 0:
-            return 0
-        if self.spec.kind == "tensor":
-            return self._sub_dims[k] ** 2
-        if self.spec.kind == "abelian_dyadic":
-            return 1 << k
-        return self._level_cache[k].shape[0]
+        return self._level_dims[k]
 
     def level_constant(self, k):
         """Smallest trace of a minimal projection of level ``k``; ``None``
@@ -489,39 +500,63 @@ class Tower:
         return self.level_dim(k) * self.dim * self.dim
 
     def level_basis(self, k):
-        """Read-only trace-orthonormal basis of level ``k``: (m, d, d), real on
-        tensor towers; the identity, the rest of level ``k - 1``, then ``D_k``."""
+        """Read-only trace-orthonormal basis of level ``k``, (m, d, d), real on
+        tensor towers: ``[D_1; ...; D_k]``, the bases of the difference
+        subspaces in order, identity first.  It is the view of the tower's
+        cached stack through its first ``level_dim(k)`` rows, so its values
+        do not depend on which level was built first."""
         self._check_level(k)
-        if k not in self._level_cache:
-            if self._stack_entries(k) > MAX_STACK_ENTRIES:
-                raise TowerError(f"level {k} basis too large to materialize")
-            self._level_cache[k] = self._build_level(k)
-            self._level_cache[k].setflags(write=False)
-        return self._level_cache[k]
+        m = self.level_dim(k)
+        stack = self._stack
+        if stack is None or len(stack) < m:
+            stack = self._grow(k)
+        return stack[:m]
 
-    def _build_level(self, k):
+    def _grow(self, k):
+        """The cached stack, extended through level ``k`` if it stops below:
+        the cached rows are copied and only the new ``D_j`` blocks are
+        written.  Under the lock a shallower stack never replaces a deeper one."""
+        if self._stack_entries(k) > MAX_STACK_ENTRIES:
+            raise TowerError(f"level {k} basis too large to materialize")
+        with self._grow_lock:
+            head = self._stack
+            start = 0 if head is None else len(head)
+            if start >= self.level_dim(k):
+                return head
+            real = self.spec.kind == "tensor"
+            stack = np.zeros((self.level_dim(k), self.dim, self.dim), dtype=float if real else complex)
+            if head is not None:
+                stack[:start] = head
+            for j in range(1, k + 1):
+                lo, hi = self.level_dim(j - 1), self.level_dim(j)
+                if hi > start:
+                    self._write_difference(j, stack[lo:hi])
+            stack.setflags(write=False)
+            self._stack = stack
+            return stack
+
+    def _write_difference(self, j, out):
+        """Write the basis of ``D_j`` into the zero rows ``out``."""
         if self.spec.kind == "abelian_dyadic":
-            return _diag_stack(self._level_diag_basis(k))
-        # u (x) w (x) 1_rest over u of (M_{d_prev}, tr) and w of the k-th
-        # factor, w outermost: the w = 1 block spans level k-1, the rest D_k
-        d_prev, nk = self._sub_dims[k - 1], self.factor_dims[k - 1]
-        rest = self.dim // (d_prev * nk)
-        u, w = _unital_onb(d_prev), _unital_onb(nk)
-        out = np.zeros((nk * nk, d_prev * d_prev, d_prev, nk, rest, d_prev, nk, rest))
+            haar = _haar_vectors(self.dim, j)
+            if j == 1:
+                haar = np.concatenate([np.ones((1, self.dim)), haar])
+            out.reshape(len(out), -1)[:, :: self.dim + 1] = haar
+            return
+        # u (x) w (x) 1_rest over u of (M_{d_prev}, tr) and w of the j-th
+        # factor, w outermost; w = 1 spans level j-1, so it leads D_1 only
+        d_prev, nj = self._sub_dims[j - 1], self.factor_dims[j - 1]
+        rest = self.dim // (d_prev * nj)
+        u, w = _unital_onb(d_prev), _unital_onb(nj)[1 if j > 1 else 0:]
+        blocks = out.reshape(len(w), d_prev * d_prev, d_prev, nj, rest, d_prev, nj, rest)
         idx = np.arange(rest)
         for i, a, b in zip(*np.nonzero(w)):
-            out[i, :, :, a, idx, :, b, idx] = w[i, a, b] * u
-        return out.reshape(-1, self.dim, self.dim)
-
-    def _level_diag_basis(self, k):
-        vecs = [np.ones(self.dim, dtype=complex)]
-        for lvl in range(1, k + 1):
-            vecs.extend(_haar_vectors(self.dim, lvl))
-        return np.stack(vecs)
+            blocks[i, :, :, a, idx, :, b, idx] = w[i, a, b] * u
 
     def difference_basis(self, k):
-        """Trace-orthonormal basis of ``D_k`` = level k minus level k-1: the
-        view of ``level_basis(k)`` past its first ``level_dim(k - 1)`` rows.
+        """Trace-orthonormal basis of ``D_k`` = level k minus level k-1: rows
+        ``level_dim(k - 1)`` to ``level_dim(k)`` of the tower's cached stack,
+        the view of ``level_basis(k)`` past the basis of level ``k - 1``.
 
         With the convention ``E_0 = 0`` the first difference subspace is the
         whole first level, identity included.

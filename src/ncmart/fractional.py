@@ -160,7 +160,12 @@ def zeta_optimize(tower: Tower, k, restarts=32, tol=1e-10, seed=0, return_detail
     if cap is not None and base_obj.max() * (1 + tol) >= cap:
         # a basis element is extremal; the random starts are only checked
         basis_starts = 0
-        obj = _svd((rand @ basis_flat).reshape(restarts, d, d), False)[:, 0]
+        if basis_flat.dtype == float:
+            # ``complex @ float`` would copy the basis to complex on every call
+            elems = rand.real @ basis_flat + 1j * (rand.imag @ basis_flat)
+        else:
+            elems = rand @ basis_flat
+        obj = _svd(elems.reshape(restarts, d, d), False)[:, 0]
     else:
         # the best basis elements and the random starts iterate
         top = np.argsort(base_obj)[::-1][:BASIS_START_CAP]

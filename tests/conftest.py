@@ -1,7 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ncmart.algebra import FiltrationSpec, build_tower
+
+
+def peak_allocation(fn):
+    """Peak bytes that Python and numpy allocate while ``fn()`` runs, above
+    what was allocated when it started."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

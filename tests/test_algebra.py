@@ -1,6 +1,7 @@
 import json
 import math
-import tracemalloc
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ncmart.algebra import (
     operator_to_json,
 )
 from ncmart.fractional import zeta_optimize
+from conftest import peak_allocation
 
 
 def _hermitian(rng, d):
@@ -318,12 +320,16 @@ def _reference_unital_onb(n):
 
 
 def _reference_level(t, k):
-    """u (x) w (x) 1_rest over u of (M_{d_prev}, tr) and w of the k-th factor, w outermost."""
-    d_prev = math.prod(t.factor_dims[: k - 1])
-    nk = t.factor_dims[k - 1]
-    eye = np.eye(t.dim // (d_prev * nk), dtype=complex)
-    return np.stack([np.kron(np.kron(u, w), eye)
-                     for w in _reference_unital_onb(nk) for u in _reference_unital_onb(d_prev)])
+    """[D_1; ...; D_k], where D_j is u (x) w (x) 1_rest over u of (M_{d_{j-1}}, tr)
+    and w of the j-th factor, w outermost; w = 1 only in D_1, which is level 1."""
+    blocks = []
+    for j in range(1, k + 1):
+        d_prev = math.prod(t.factor_dims[: j - 1])
+        nj = t.factor_dims[j - 1]
+        eye = np.eye(t.dim // (d_prev * nj), dtype=complex)
+        ws = _reference_unital_onb(nj)[1 if j > 1 else 0:]
+        blocks += [np.kron(np.kron(u, w), eye) for w in ws for u in _reference_unital_onb(d_prev)]
+    return np.stack(blocks)
 
 
 @pytest.mark.parametrize("spec, levels", [
@@ -361,6 +367,90 @@ def test_difference_basis_is_the_tail_of_its_level(request, name):
             lower = t.level_basis(k - 1)
             gram = np.einsum("j,aij,bij->ab", t.weights, tail, lower.conj())
             assert np.abs(gram).max() <= 1e-12
+
+
+# Each tower with the deepest level whose basis is materialized: level 6 of
+# 2^6 is a 128 MiB stack that no expectation builds (the full level is a copy).
+NESTED_TOWERS = [("tensor:2,2,2,2,2,2", 5), ("tensor:3,4", 2), ("tensor:2,3,3", 3),
+                 ("abelian:4", 4), ("custom4", 3), ("weighted", 3)]
+
+
+@pytest.mark.parametrize("name, deepest", NESTED_TOWERS)
+def test_level_bases_are_views_of_one_stack(request, name, deepest):
+    """Every level basis and every D_k basis is a view of the deepest level's
+    stack, and a level's values do not depend on which level was built first."""
+    deep = _own_tower(request, name)
+    stack = deep.level_basis(deepest)
+    upward = _own_tower(request, name)
+    for k in range(1, deepest + 1):
+        assert np.shares_memory(deep.level_basis(k), stack)
+        assert np.shares_memory(deep.difference_basis(k), stack)
+        direct = _own_tower(request, name).level_basis(k)
+        assert np.array_equal(direct, deep.level_basis(k))
+        assert np.array_equal(upward.level_basis(k), direct)
+
+
+def test_concurrent_builds_keep_the_deepest_stack(rng):
+    """Two threads ask a fresh 2^6 tower for levels 2 and 5 at once: both get
+    the right expectations, and the level 2 build never replaces level 5."""
+    x = rng.standard_normal((2, 64, 64)) + 1j * rng.standard_normal((2, 64, 64))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            t = Tower(FiltrationSpec.tensor([2] * 6))
+            errors = []
+
+            def worker(t, k):
+                for _ in range(4):
+                    got, want = t.conditional_expectation(k, x), t._tensor_expectation(k, x)
+                    if not np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want):
+                        errors.append(k)
+
+            threads = [threading.Thread(target=worker, args=(t, k)) for k in (2, 5)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+                assert not th.is_alive()
+            assert errors == []
+            # a level 2 stack left in the cache would be grown again here
+            assert np.shares_memory(t.level_basis(2), t.level_basis(5))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_shallower_build_never_replaces_a_deeper_one(monkeypatch):
+    """A level 2 build that starts while D_5 is written, and would end after
+    the level 5 build, must not leave the level 2 stack in the cache."""
+    t = Tower(FiltrationSpec.tensor([2] * 6))
+    writing_d5, level5_done = threading.Event(), threading.Event()
+    write = Tower._write_difference
+
+    def paced(self, j, out):
+        if j == 5:
+            writing_d5.set()
+        elif j == 2 and threading.current_thread().name == "level-2":
+            level5_done.wait(timeout=5)
+        write(self, j, out)
+
+    monkeypatch.setattr(Tower, "_write_difference", paced)
+
+    def deep():
+        t.level_basis(5)
+        level5_done.set()
+
+    def shallow():
+        writing_d5.wait(timeout=5)
+        t.level_basis(2)
+
+    threads = [threading.Thread(target=deep), threading.Thread(target=shallow, name="level-2")]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=30)
+        assert not th.is_alive()
+    assert np.shares_memory(t.level_basis(2), t.level_basis(5))
 
 
 @pytest.mark.parametrize("name", ["tensor:2,3", "abelian:3", "custom4", "weighted"])
@@ -406,30 +496,24 @@ def test_abelian_bases_equal_loop_reference():
 
 
 def test_tensor_basis_build_peaks_below_one_and_a_half_stacks():
-    """Level 5 of 2^6 is written in place, not copied from a list."""
-    t = Tower(FiltrationSpec.tensor([2] * 6))
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        stack = t.level_basis(5)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * stack.nbytes
+    """Level 5 of 2^6 is written in place, not copied from a list; grown from
+    level 4, it copies the level 4 rows and writes only D_5."""
+    for built in ((), (4,)):
+        t = Tower(FiltrationSpec.tensor([2] * 6))
+        for k in built:
+            t.level_basis(k)
+        peak = peak_allocation(lambda: t.level_basis(5))
+        assert peak < 1.5 * t.level_basis(5).nbytes
 
 
 def test_difference_basis_after_its_level_allocates_no_stack():
-    """D_5 of 2^6 is a view of the level 5 basis, not a second 24 MiB stack."""
+    """After level 5 of 2^6, every lower level and every D_k up to D_5 is a
+    view of its stack, not a second stack of up to 24 MiB."""
     t = Tower(FiltrationSpec.tensor([2] * 6))
     t.level_basis(5)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        t.difference_basis(5)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2**10
+    for k in range(1, 6):
+        assert peak_allocation(lambda: t.level_basis(k)) < 64 * 2**10
+        assert peak_allocation(lambda: t.difference_basis(k)) < 64 * 2**10
 
 
 # Every level of these towers; 2^6 stops below its top level, a 128 MB stack
@@ -479,14 +563,7 @@ def test_real_basis_expectation_does_not_copy_the_basis(rng):
     t = Tower(FiltrationSpec.tensor([2] * 6))
     assert t.level_basis(5).nbytes == 32 * 2**20
     x = rng.standard_normal((12, 64, 64)) + 1j * rng.standard_normal((12, 64, 64))
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        t.conditional_expectation(5, x)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
+    assert peak_allocation(lambda: t.conditional_expectation(5, x)) < 4 * 2**20
 
 
 def test_project_difference_orthogonality(any_tower, rng):

@@ -16,6 +16,7 @@ from ncmart.fractional import (
     zeta_sequence,
 )
 from ncmart.spectral import lp_norm, singular_value_function
+from conftest import peak_allocation
 
 
 def _random_dense(rng, d):
@@ -145,6 +146,23 @@ def test_optimizer_stops_at_level_bound(monkeypatch):
     assert det["basis_starts"] == 0 and det["restarts"] == 32
     assert len(det["per_start_top"]) == 5 and max(det["per_start_top"]) < math.sqrt(18)
     assert z == pytest.approx(1 / 18, rel=1e-12)
+
+
+def test_certified_check_does_not_copy_a_real_basis():
+    """The random starts on the real D_3 of tensor:2,3,3 are formed from real
+    products, not through a complex copy of its 288-element basis, and
+    evaluate as the complex products do."""
+    tower = Tower(FiltrationSpec.parse("tensor:2,3,3"))
+    basis = tower.difference_basis(3)
+    assert basis.dtype == np.float64
+    assert peak_allocation(lambda: zeta_optimize(tower, 3)) < 2 * basis.nbytes
+    _, det = zeta_optimize(tower, 3, return_details=True)
+    rng = np.random.default_rng(0)
+    rand = rng.standard_normal((32, len(basis))) + 1j * rng.standard_normal((32, len(basis)))
+    rand /= np.linalg.norm(rand, axis=1, keepdims=True)
+    elems = np.tensordot(rand, basis.astype(complex), axes=(1, 0))
+    want = np.sort(np.linalg.svd(elems, compute_uv=False)[:, 0])[::-1][:5]
+    assert det["per_start_top"] == pytest.approx(want, rel=1e-12)
 
 
 def _counting_search(monkeypatch):

@@ -444,20 +444,25 @@ def test_embedding_worst_slacks_include_failures():
 
 def test_runs_build_each_level_basis_once(monkeypatch):
     """Two runs and their extremal family share the towers of their specs, so
-    no level basis is built twice (none at all if earlier tests built it)."""
+    no tower is built twice (none at all if earlier tests built it), and the
+    second run reads the level bases that the first one left."""
     built = []
-    build_level = Tower._build_level
+    init = Tower.__init__
 
-    def counting(self, k):
-        built.append((self.spec, k))
-        return build_level(self, k)
+    def counting(self, spec):
+        built.append(spec)
+        init(self, spec)
 
-    monkeypatch.setattr(Tower, "_build_level", counting)
+    monkeypatch.setattr(Tower, "__init__", counting)
     cfg = _cfg("lp-lq", trials=2, extremal_n_max=3)
-    for _ in range(2):
-        run_ratio_experiment(cfg)
+    run_ratio_experiment(cfg)
+    tower = build_tower(cfg.tower)
+    first = [tower.level_basis(k) for k in (1, 2)]
+    run_ratio_experiment(cfg)
     assert len(built) == len(set(built))
-    assert {1, 2} <= set(build_tower(cfg.tower)._level_cache)
+    assert build_tower(cfg.tower) is tower
+    for k, basis in zip((1, 2), first):
+        assert np.shares_memory(tower.level_basis(k), basis)
 
 
 def test_ratio_records_have_repro_seeds():
