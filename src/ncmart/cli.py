@@ -34,8 +34,18 @@ from .spectral import lorentz_norm, lp_norm, singular_value_function, weak_norm
 __all__ = ["main"]
 
 CLOSED_FORM_GAP = 1e-4
-# Norms of ``ncmart norms`` that are computed from the operator's martingale.
-MARTINGALE_NORMS = ("hardy_c", "bmo", "lipschitz_c")
+# ``ncmart norms``: name -> (parameter names, whether the function takes the
+# operator's martingale rather than its singular value function, function).
+NORMS = {
+    "lp": (("p",), False, lp_norm),
+    "lorentz": (("p", "q"), False, lorentz_norm),
+    "weak": (("p",), False, weak_norm),
+    "hardy_c": (("p",), True, mg.hardy_column_norm),
+    "bmo": ((), True, mg.bmo_norm),
+    "lipschitz_c": (("beta",), True, mg.lipschitz_column_lower),
+}
+NORM_SPECS = ", ".join(f"{name}:{','.join(params)}" if params else name
+                       for name, (params, _, _) in NORMS.items())
 
 
 def _tower_from_args(args):
@@ -111,10 +121,13 @@ def _cmd_example(args) -> int:
     return 1 if bad else 0
 
 
-def _parse_norm_spec(text):
-    name, _, rest = text.partition(":")
-    params = [float(v) for v in rest.split(",")] if rest else []
-    return name, params
+def _parse_norm_spec(spec):
+    """``(name, parameters)`` of a ``--norm`` spec such as ``lorentz:2,1``."""
+    name, _, rest = spec.partition(":")
+    params = rest.split(",") if rest else []
+    if name not in NORMS or len(params) != len(NORMS[name][0]):
+        raise ConfigError(f"bad norm spec {spec!r}: not one of {NORM_SPECS}")
+    return name, [float(v) for v in params]
 
 
 def _cmd_norms(args) -> int:
@@ -127,31 +140,14 @@ def _cmd_norms(args) -> int:
     if x.shape[0] != tower.dim:
         raise ConfigError(f"operator dimension {x.shape[0]} does not match tower dimension {tower.dim}")
     specs = [(spec, *_parse_norm_spec(spec)) for spec in args.norm]
-    if any(name in MARTINGALE_NORMS for _, name, _ in specs):
+    if any(NORMS[name][1] for _, name, _ in specs):
         mart = mg.adapt(tower, x)
     s = singular_value_function(tower, x)
     out = {}
     for spec, name, params in specs:
+        _, on_martingale, norm = NORMS[name]
         try:
-            if name == "lp":
-                (p,) = params
-                out[spec] = lp_norm(s, p)
-            elif name == "lorentz":
-                p, q = params
-                out[spec] = lorentz_norm(s, p, q)
-            elif name == "weak":
-                (p,) = params
-                out[spec] = weak_norm(s, p)
-            elif name == "hardy_c":
-                (p,) = params
-                out[spec] = mg.hardy_column_norm(mart, p)
-            elif name == "bmo":
-                out[spec] = mg.bmo_norm(mart)
-            elif name == "lipschitz_c":
-                (beta,) = params
-                out[spec] = mg.lipschitz_column_lower(mart, beta)
-            else:
-                raise ConfigError(f"unknown norm {name!r}")
+            out[spec] = norm(mart if on_martingale else s, *params)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad norm spec {spec!r}: {exc}") from exc
     payload = {"tower": tower.spec.to_json(), "norms": out}
@@ -184,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON experiment config file")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--trials", type=int, default=None,
-                   help="trials per grid point (default: the config's, else 200)")
+                   help="trials per grid point (default: the config's, "
+                        f"else {ExperimentConfig.trials})")
     p.add_argument("--threads", type=int, default=1, help="worker threads (default: 1)")
     p.add_argument("--out", default=None, help="report file; .csv selects CSV format")
     p.set_defaults(fn=_cmd_verify)
@@ -199,8 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--operator", required=True, help="operator JSON file")
     p.add_argument("--norm", action="append", required=True,
-                   help="lp:p, lorentz:p,q, weak:p, hardy_c:p, bmo, lipschitz_c:beta "
-                        "(repeatable)")
+                   help=NORM_SPECS + " (repeatable)")
     p.set_defaults(fn=_cmd_norms)
     return parser
 

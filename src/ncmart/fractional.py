@@ -195,19 +195,22 @@ def zeta_optimize(tower: Tower, k, restarts=32, tol=1e-10, seed=0, return_detail
 
 
 def _closed_form(tower: Tower):
+    """The constants of a tensor or abelian tower from its level constants
+    ``c_k``, with their provenance; ``(None, None)`` on a custom tower.
+
+    Tensor: ``||x||_inf^2 <= ||x||_2^2 / c_k`` on level ``k``, with equality
+    at the rank-one ``E_11 (x) ... (x) E_11 (x) E_12 (x) 1`` (``E_12`` in
+    factor ``k``) in ``D_k``, so ``zeta_k = c_k``.  Abelian: ``D_1`` is the
+    whole first level, so ``zeta_1 = c_1``; deeper ``D_k`` are spanned by
+    disjoint Haar steps on the atoms of level ``k - 1``: ``zeta_k = c_{k-1}``.
+    """
     if tower.spec.kind == "tensor":
-        # ||x||_inf^2 <= d_k ||x||_2^2 on level k for the normalized trace,
-        # d_k = n_1...n_k, with equality at the rank-one E_11 (x) ... (x) E_11
-        # (x) E_12 (x) 1 (E_12 in factor k), which lies in D_k.
-        vals = [tower.level_constant(k) for k in range(1, tower.n_levels + 1)]
-        return vals, "closed_form_tensor"
-    if tower.spec.kind == "abelian_dyadic":
-        # D_1 is the whole two-atom first level (identity included), so the
-        # first constant matches the dyadic value 1/2; deeper levels are
-        # spanned by disjoint Haar steps.
-        vals = [0.5] + [2.0 ** -(k - 1) for k in range(2, tower.n_levels + 1)]
-        return vals, "closed_form_abelian_dyadic"
-    return None, None
+        levels = range(1, tower.n_levels + 1)
+    elif tower.spec.kind == "abelian_dyadic":
+        levels = [1, *range(1, tower.n_levels)]
+    else:
+        return None, None
+    return [tower.level_constant(k) for k in levels], "closed_form_" + tower.spec.kind
 
 
 def zeta_sequence(tower: Tower, method="auto", restarts=32, tol=1e-10, seed=0):

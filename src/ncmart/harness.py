@@ -92,35 +92,36 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(obj) -> "ExperimentConfig":
+        """A config from its JSON form; a missing key takes the field's default."""
         try:
-            return ExperimentConfig(
-                experiment=obj["experiment"],
-                tower=FiltrationSpec.from_json(obj["tower"]),
-                trials=int(obj.get("trials", 200)),
-                seed=int(obj.get("seed", 0)),
-                alphas=tuple(float(a) for a in obj.get("alphas", ())),
-                pq_pairs=tuple((float(p), float(q)) for p, q in obj.get("pq_pairs", ())),
-                levels=tuple(int(k) for k in obj.get("levels", ())),
-                extremal_n_max=int(obj.get("extremal_n_max", 12)),
-                profile=str(obj.get("profile", "positive_l1")),
-                coeffs=obj.get("coeffs", "auto"),
-            )
+            return ExperimentConfig(**{name: read(obj[name])
+                                       for name, (read, _) in _CONFIG_JSON.items() if name in obj})
         except (KeyError, TypeError, ValueError, TowerError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
 
     def to_json(self):
-        return {
-            "experiment": self.experiment,
-            "tower": self.tower.to_json(),
-            "trials": self.trials,
-            "seed": self.seed,
-            "alphas": list(self.alphas),
-            "pq_pairs": [list(pq) for pq in self.pq_pairs],
-            "levels": list(self.levels),
-            "extremal_n_max": self.extremal_n_max,
-            "profile": self.profile,
-            "coeffs": self.coeffs if isinstance(self.coeffs, str) else list(self.coeffs),
-        }
+        return {name: write(getattr(self, name)) for name, (_, write) in _CONFIG_JSON.items()}
+
+
+def _same(value):
+    return value
+
+
+# The JSON form of each ExperimentConfig field: (read, write).
+_CONFIG_JSON = {
+    "experiment": (_same, _same),
+    "tower": (FiltrationSpec.from_json, FiltrationSpec.to_json),
+    "trials": (int, _same),
+    "seed": (int, _same),
+    "alphas": (lambda v: tuple(float(a) for a in v), list),
+    "pq_pairs": (lambda v: tuple((float(p), float(q)) for p, q in v),
+                 lambda v: [list(pq) for pq in v]),
+    "levels": (lambda v: tuple(int(k) for k in v), list),
+    "extremal_n_max": (int, _same),
+    "profile": (str, _same),
+    "coeffs": (lambda v: v if isinstance(v, str) else tuple(v),
+               lambda v: v if isinstance(v, str) else list(v)),
+}
 
 
 @dataclass

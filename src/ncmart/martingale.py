@@ -9,6 +9,7 @@ import numpy as np
 
 from .algebra import Tower, TowerError
 from .spectral import (
+    _adjoint,
     _eigh,
     _eigvalsh,
     _root_power_sum,
@@ -44,10 +45,6 @@ INTERPOLATION_STEPS = (0.25, 0.5, 0.75)
 CLUSTER_GAP = 1e-10
 # Random level projections drawn per level by lipschitz_column_lower.
 RANDOM_PROJECTIONS = 16
-
-
-def _adjoint(x):
-    return x.conj() if x.ndim == 1 else x.conj().T
 
 
 def _abs_squared(x):

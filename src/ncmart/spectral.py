@@ -149,7 +149,8 @@ def _root_spectrum(tower, h, x):
 
 
 def _adjoint(x):
-    return np.conj(np.swapaxes(x, -1, -2))
+    """``x*`` of an operator or a stack of them; the conjugate of a diagonal."""
+    return x.conj() if x.ndim == 1 else np.swapaxes(x.conj(), -1, -2)
 
 
 def _svd(x, compute_uv):

@@ -249,6 +249,12 @@ def test_norms_errors(tmp_path, capsys):
                  "--norm", "frobenius:2"]) == 2
     assert main(["norms", "--tower", "tensor:2,2", "--operator", str(op),
                  "--norm", "lorentz:2"]) == 2
+    # a parameter count other than the norm's
+    for spec in ("bmo:3", "lp:1,2"):
+        capsys.readouterr()
+        assert main(["norms", "--tower", "tensor:2,2", "--operator", str(op),
+                     "--norm", spec]) == 2, spec
+        assert "bad norm spec" in capsys.readouterr().err, spec
     # unreadable operator file
     assert main(["norms", "--tower", "tensor:2,2", "--operator",
                  str(tmp_path / "missing.json"), "--norm", "lp:2"]) == 2

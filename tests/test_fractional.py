@@ -56,6 +56,18 @@ def test_abelian_closed_form(abelian4):
     assert seq.values == (0.5, 0.5, 0.25, 0.125)
 
 
+@pytest.mark.parametrize("spec,levels,explicit", [
+    ("tensor:2,3,3", (1, 2, 3), (1 / 2, 1 / 6, 1 / 18)),
+    ("abelian:5", (1, 1, 2, 3, 4), (0.5, 0.5, 0.25, 0.125, 0.0625)),
+])
+def test_closed_form_is_level_constants(spec, levels, explicit):
+    """``zeta_k`` is ``c_k`` on a tensor tower, ``c_1`` then ``c_{k-1}`` on an
+    abelian one, bit for bit."""
+    tower = build_tower(FiltrationSpec.parse(spec))
+    values = zeta_sequence(tower, "auto").values
+    assert values == tuple(tower.level_constant(k) for k in levels) == explicit
+
+
 # ---------------------------------------------------------------------------
 # the optimizer against closed forms
 

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -45,9 +46,20 @@ def _cfg(experiment, **kw):
 
 
 def test_config_roundtrip():
-    cfg = _cfg("weak-type", alphas=[0.5], extremal_n_max=3)
-    again = ExperimentConfig.from_json(cfg.to_json())
-    assert again == cfg
+    """Every field, each set away from its default, survives JSON."""
+    cfg = ExperimentConfig(
+        "hd-scalar", FiltrationSpec.parse("abelian:3"), trials=3, seed=9, alphas=(0.25, 0.5),
+        pq_pairs=((1.5, 3.0),), levels=(1, 2), extremal_n_max=4, profile="gaussian",
+        coeffs=(0.5, 0.25, 0.125))
+    default = ExperimentConfig("lp-lq", FiltrationSpec.tensor([2, 2, 2]))
+    assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields(cfg))
+    assert ExperimentConfig.from_json(json.loads(json.dumps(cfg.to_json()))) == cfg
+
+
+def test_config_missing_keys_take_the_defaults():
+    obj = {"experiment": "lp-lq", "tower": TOWER}
+    assert ExperimentConfig.from_json(obj) == ExperimentConfig(
+        "lp-lq", FiltrationSpec.from_json(TOWER))
 
 
 def test_config_rejects_garbage():
@@ -104,7 +116,8 @@ def test_report_csv(tmp_path):
     r = run_ratio_experiment(_cfg("lp-lq", extremal_n_max=2))
     path = tmp_path / "r.csv"
     emit_report(r, "csv", str(path))
-    rows = list(csv.DictReader(path.open()))
+    with path.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert rows and all(row["experiment"] == "lp-lq" for row in rows)
     with pytest.raises(ConfigError):
         emit_report(r, "yaml", str(path))

@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used or re-exported, every
-module-level private name is used somewhere in the package, and every default
-parameter is set by some call of the package or of its benchmark."""
+module-level private name is used somewhere in the package and defined in one
+module only, and every default parameter is set by some call of the package
+or of its benchmark."""
 
 import ast
 import math
@@ -82,10 +83,13 @@ def _orphaned_private_names(trees):
                   if refs[name] - _references(node)[name] <= 0)
 
 
+def _source_trees():
+    return {path.stem: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(SRC.glob("*.py"))}
+
+
 def test_no_orphaned_private_names():
-    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
-             for path in sorted(SRC.glob("*.py"))}
-    orphaned = _orphaned_private_names(trees)
+    orphaned = _orphaned_private_names(_source_trees())
     assert not orphaned, "private names used nowhere in src/ncmart: " + ", ".join(
         f"{module}.{name} (line {line})" for module, line, name in orphaned)
 
@@ -99,6 +103,31 @@ def test_guard_flags_an_orphaned_private_name():
     }.items()}
     assert _orphaned_private_names(trees) == [
         ("a", 2, "_unused"), ("a", 5, "_recursive"), ("a", 9, "_Orphan")]
+
+
+def _duplicated_private_names(trees):
+    """``(name, modules)`` of each private module-level name that more than one
+    module defines; importing a name does not define it."""
+    homes = {}
+    for module, tree in trees.items():
+        for name, _ in _private_definitions(tree):
+            homes.setdefault(name, set()).add(module)
+    return sorted((name, sorted(modules)) for name, modules in homes.items() if len(modules) > 1)
+
+
+def test_no_private_name_defined_twice():
+    duplicated = _duplicated_private_names(_source_trees())
+    assert not duplicated, "private names with more than one home in src/ncmart: " + ", ".join(
+        f"{name} ({', '.join(modules)})" for name, modules in duplicated)
+
+
+def test_guard_flags_a_private_name_defined_twice():
+    trees = {name: ast.parse(text) for name, text in {
+        "a": "_LIMIT = 1\n_LIMIT = 2\n\n\ndef _helper():\n    pass\n",
+        "b": "from .a import _helper\n\n_own = 3\n",
+        "c": "_LIMIT = 4\n\n\nclass _helper:\n    pass\n",
+    }.items()}
+    assert _duplicated_private_names(trees) == [("_LIMIT", ["a", "c"]), ("_helper", ["a", "c"])]
 
 
 def _defaulted_parameters(tree):
@@ -163,8 +192,7 @@ KEPT_PARAMETERS = {
 def test_every_default_parameter_is_set_by_a_program_path():
     """A default that no call in the package or its benchmark overrides is a
     constant; only the parameters of ``KEPT_PARAMETERS`` are exempt."""
-    defining = {path.stem: ast.parse(path.read_text(), filename=str(path))
-                for path in sorted(SRC.glob("*.py"))}
+    defining = _source_trees()
     calling = list(defining.values()) + [ast.parse(path.read_text(), filename=str(path))
                                          for path in sorted(PERFBENCH.glob("*.py"))]
     unset = _unset_parameters(defining, calling)
