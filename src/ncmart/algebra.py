@@ -28,6 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .spectral import _eigvalsh
+
 __all__ = [
     "TowerError",
     "FiltrationSpec",
@@ -266,20 +268,6 @@ def _amplify(stack, rest):
     return out.reshape(m, n * rest, n * rest)
 
 
-def _haar_vectors(total_dim, level):
-    """Normalized Haar step vectors at the given dyadic level."""
-    block = total_dim >> (level - 1)
-    half = block // 2
-    scale = 2.0 ** ((level - 1) / 2.0)
-    count = total_dim // block
-    # row i is nonzero on block i only: the diagonal of a (count, count, block) view
-    out = np.zeros((count, count, block), dtype=complex)
-    idx = np.arange(count)
-    out[idx, idx, :half] = scale
-    out[idx, idx, half:] = -scale
-    return out.reshape(count, total_dim)
-
-
 # ---------------------------------------------------------------------------
 # tower
 
@@ -298,20 +286,18 @@ class Tower:
         # It is only ever replaced by a deeper stack, under ``_grow_lock``.
         self._stack = None
         self._grow_lock = threading.Lock()
-        if spec.kind == "tensor":
-            self.factor_dims = tuple(spec.dims)
-            self.dim = int(np.prod(self.factor_dims))
-            self.n_levels = len(self.factor_dims)
-            self._sub_dims = [int(np.prod(self.factor_dims[:k])) for k in range(self.n_levels + 1)]
-            self._level_dims = (0,) + tuple(s * s for s in self._sub_dims[1:])
-            self.weights = np.full(self.dim, 1.0 / self.dim)
-        elif spec.kind == "abelian_dyadic":
-            self.n_levels = int(spec.levels)
-            self.dim = 1 << self.n_levels
-            self._level_dims = (0,) + tuple(1 << k for k in range(1, self.n_levels + 1))
-            self.weights = np.full(self.dim, 1.0 / self.dim)
-        else:
+        if spec.kind == "custom":
             self._init_custom(spec)
+        else:
+            # abelian:n is the diagonal of tensor:2^n, with its filtration:
+            # level k has the s_k atoms of M_{s_k} (x) 1 on the diagonal
+            self.factor_dims = tuple(spec.dims) if spec.kind == "tensor" else (2,) * spec.levels
+            self.dim = math.prod(self.factor_dims)
+            self.n_levels = len(self.factor_dims)
+            self._sub_dims = [math.prod(self.factor_dims[:k]) for k in range(self.n_levels + 1)]
+            atoms = spec.kind == "abelian_dyadic"
+            self._level_dims = (0,) + tuple(s if atoms else s * s for s in self._sub_dims[1:])
+            self.weights = np.full(self.dim, 1.0 / self.dim)
         # Equal weights (tensor, abelian, unweighted custom towers) give every
         # unit vector the trace weight ``weights[0]``.
         self.uniform_trace = bool(np.all(self.weights == self.weights[0]))
@@ -408,17 +394,15 @@ class Tower:
         multiplicity over ``d``.  The element is drawn from a fixed seed.
         """
         self._check_level(k)
-        if self.spec.kind == "tensor":
-            return 1.0 / math.prod(self.factor_dims[:k])
-        if self.spec.kind == "abelian_dyadic":
-            return 2.0**-k
+        if self.spec.kind != "custom":
+            return 1.0 / self._sub_dims[k]
         if not self.uniform_trace:
             return None
         basis = self.level_basis(k)
         rng = np.random.default_rng(0)
         coeffs = rng.standard_normal(basis.shape[0]) + 1j * rng.standard_normal(basis.shape[0])
         x = np.tensordot(coeffs, basis, axes=(0, 0))
-        vals = np.linalg.eigvalsh(x + x.conj().T)
+        vals = _eigvalsh(x + x.conj().T, x)
         # Merging two eigenvalues could overstate the constant, while
         # splitting one only weakens the bound, so the gap stays near rounding.
         gap = MULTIPLICITY_TOL * max(1.0, float(np.max(np.abs(vals))))
@@ -476,9 +460,7 @@ class Tower:
         return (coeffs.T @ flat).reshape(x.shape)
 
     def _block_size(self, n):
-        if self.spec.kind == "tensor":
-            return self.dim // self._sub_dims[n]
-        return 1 << (self.n_levels - n)
+        return self.dim // self._sub_dims[n]
 
     def _diag_expectation(self, n, x):
         """Block means of the diagonal(s) on the last axis of ``x``."""
@@ -536,19 +518,20 @@ class Tower:
             return stack
 
     def _write_difference(self, j, out):
-        """Write the basis of ``D_j`` into the zero rows ``out``."""
-        if self.spec.kind == "abelian_dyadic":
-            haar = _haar_vectors(self.dim, j)
-            if j == 1:
-                haar = np.concatenate([np.ones((1, self.dim)), haar])
-            out.reshape(len(out), -1)[:, :: self.dim + 1] = haar
-            return
-        # u (x) w (x) 1_rest over u of (M_{d_prev}, tr) and w of the j-th
-        # factor, w outermost; w = 1 spans level j-1, so it leads D_1 only
+        """Write the basis of ``D_j`` into the zero rows ``out``: ``u (x) w (x)
+        1_rest`` over ``u`` of level j-1 and ``w`` of the j-th factor, ``w``
+        outermost; ``w = 1`` spans level j-1, so it leads ``D_1`` only.  On a
+        tensor tower both run over unital bases of full matrix algebras; an
+        abelian tower is their diagonal, the point masses ``sqrt(d_prev) e_ii``
+        and ``1, diag(1, -1)``, whose products are the Haar steps."""
         d_prev, nj = self._sub_dims[j - 1], self.factor_dims[j - 1]
         rest = self.dim // (d_prev * nj)
-        u, w = _unital_onb(d_prev), _unital_onb(nj)[1 if j > 1 else 0:]
-        blocks = out.reshape(len(w), d_prev * d_prev, d_prev, nj, rest, d_prev, nj, rest)
+        if self.spec.kind == "tensor":
+            u, w = _unital_onb(d_prev), _unital_onb(nj)
+        else:
+            u, w = math.sqrt(d_prev) * _diag_stack(np.eye(d_prev)), _unital_onb(2)[[0, 3]]
+        w = w[1 if j > 1 else 0:]
+        blocks = out.reshape(len(w), len(u), d_prev, nj, rest, d_prev, nj, rest)
         idx = np.arange(rest)
         for i, a, b in zip(*np.nonzero(w)):
             blocks[i, :, :, a, idx, :, b, idx] = w[i, a, b] * u

@@ -123,10 +123,12 @@ def zeta_optimize(tower: Tower, k, restarts=32, tol=1e-10, seed=0, return_detail
     only).  ``D_k`` lies in level ``k``, so the ratio is at most
     ``cap = tower.level_constant(k) ** -0.5``.  When a basis element reaches
     ``cap`` within ``tol``, the level is certified without a search: the
-    ``restarts`` random complex-Gaussian starts are evaluated once, as a
-    check against the cap.  Otherwise the search iterates the most promising
+    ``restarts`` random Gaussian starts are evaluated once, as a check
+    against the cap.  Otherwise the search iterates the most promising
     ``BASIS_START_CAP`` basis elements and the random starts to
     stationarity, and stops as soon as it reaches ``cap`` within ``tol``.
+    The starts are drawn in the basis's own field: real on the real tensor
+    bases, whose extremals are real, and complex otherwise.
     Returns an upper bound on the constant; closed forms bound it from the
     other side in tests.
 
@@ -154,18 +156,15 @@ def zeta_optimize(tower: Tower, k, restarts=32, tol=1e-10, seed=0, return_detail
 
     base_obj = _svd(basis, False)[:, 0]
     rng = np.random.default_rng(seed)
-    rand = rng.standard_normal((restarts, m)) + 1j * rng.standard_normal((restarts, m))
+    rand = rng.standard_normal((restarts, m))
+    if basis_flat.dtype != float:
+        rand = rand + 1j * rng.standard_normal((restarts, m))
     rand /= np.linalg.norm(rand, axis=1, keepdims=True)
 
     if cap is not None and base_obj.max() * (1 + tol) >= cap:
         # a basis element is extremal; the random starts are only checked
         basis_starts = 0
-        if basis_flat.dtype == float:
-            # ``complex @ float`` would copy the basis to complex on every call
-            elems = rand.real @ basis_flat + 1j * (rand.imag @ basis_flat)
-        else:
-            elems = rand @ basis_flat
-        obj = _svd(elems.reshape(restarts, d, d), False)[:, 0]
+        obj = _svd((rand @ basis_flat).reshape(restarts, d, d), False)[:, 0]
     else:
         # the best basis elements and the random starts iterate
         top = np.argsort(base_obj)[::-1][:BASIS_START_CAP]

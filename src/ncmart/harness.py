@@ -92,8 +92,12 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(obj) -> "ExperimentConfig":
-        """A config from its JSON form; a missing key takes the field's default."""
+        """A config from its JSON form; a missing key takes the field's default,
+        and a key that names no field is an error."""
         try:
+            unknown = sorted(set(obj) - _CONFIG_JSON.keys())
+            if unknown:
+                raise ConfigError(f"unknown keys {unknown}")
             return ExperimentConfig(**{name: read(obj[name])
                                        for name, (read, _) in _CONFIG_JSON.items() if name in obj})
         except (KeyError, TypeError, ValueError, TowerError) as exc:
@@ -299,9 +303,7 @@ def _dense_extremal(tower):
 
 def _resolve_coeffs(tower, coeffs_cfg) -> CoefficientSequence:
     """The coefficient sequence of a run: one coefficient per tower level."""
-    if isinstance(coeffs_cfg, CoefficientSequence):
-        coeffs = coeffs_cfg
-    elif coeffs_cfg in ("auto", "optimize"):
+    if coeffs_cfg in ("auto", "optimize"):
         coeffs = zeta_sequence(tower, coeffs_cfg)
     else:
         try:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import sys
@@ -15,7 +16,8 @@ from ncmart.algebra import (
     operator_from_json,
     operator_to_json,
 )
-from ncmart.fractional import zeta_optimize
+from ncmart.fractional import CoefficientSequence, fractional_integral, zeta_optimize
+from ncmart.martingale import adapt
 from conftest import peak_allocation
 
 
@@ -621,6 +623,56 @@ def test_level_constant_custom(custom4, weighted2, tensor22):
         u[i, j] = 1.0
     blocks = build_tower(FiltrationSpec.custom([[np.diag([1.0, 1, 1, 0, 0])] + units]))
     assert blocks.level_constant(1) == 1 / 5
+
+
+def test_level_constant_eigensolver_failure_is_numerical(custom4, monkeypatch):
+    """A custom level constant whose eigenvalue call fails raises
+    ``ArithmeticError`` naming the seeded level element by digest."""
+    basis = custom4.level_basis(2)
+    rng = np.random.default_rng(0)
+    x = np.tensordot(rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis)),
+                     basis, axes=(0, 0))
+    digest = hashlib.sha256(np.ascontiguousarray(x)).hexdigest()[:16]
+
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(ArithmeticError, match=f"eigensolver failed on operator sha256:{digest}"):
+        custom4.level_constant(2)
+
+
+def test_abelian_level_constants_and_atoms_are_closed_forms():
+    """On abelian:n, the tensor formulas give exact powers of two."""
+    for n in range(1, 9):
+        t = build_tower(FiltrationSpec.abelian_dyadic(n))
+        assert [t.level_constant(k) for k in range(1, n + 1)] == [2.0**-k for k in range(1, n + 1)]
+        assert [t._block_size(k) for k in range(n + 1)] == [1 << (n - k) for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("n", [3, 5, 6])
+def test_abelian_is_the_diagonal_of_the_dyadic_tensor_tower(n, rng):
+    """``np.diag(f)`` on tensor:2^n and ``f`` on abelian:n have the same
+    expectations, martingales and fractional integrals, and every row of an
+    abelian ``D_j`` lies in the tensor ``D_j``."""
+    ab = build_tower(FiltrationSpec.abelian_dyadic(n))
+    te = build_tower(FiltrationSpec.tensor([2] * n))
+    f = rng.standard_normal(ab.dim) + 1j * rng.standard_normal(ab.dim)
+
+    def close(dense, diagonal, tol=1e-14):
+        assert np.abs(dense - np.diag(diagonal)).max() < tol
+
+    for k in range(n + 1):
+        close(te.conditional_expectation(k, np.diag(f)), ab.conditional_expectation(k, f))
+    coeffs = CoefficientSequence(tuple(ab.level_constant(k) for k in range(1, n + 1)), "user")
+    m_te, m_ab = adapt(te, np.diag(f)), adapt(ab, f)
+    for dense, diagonal in ((m_te, m_ab), (fractional_integral(m_te, 0.5, coeffs),
+                                           fractional_integral(m_ab, 0.5, coeffs))):
+        for dx_te, dx_ab in zip(dense.differences, diagonal.differences, strict=True):
+            close(dx_te, dx_ab)
+    for j in range(1, n + 1):
+        rows = ab.difference_basis(j)
+        assert np.abs(te.project_difference(j, rows) - rows).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------

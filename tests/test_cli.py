@@ -148,6 +148,16 @@ def test_verify_flags_override_config(tmp_path, verify_configs, flags, file_tria
     assert {k: got[k] for k in expected} == expected
 
 
+def test_verify_rejects_unknown_config_keys(tmp_path, verify_configs, capsys):
+    """A misspelt field is a usage error, not a silent default."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "lp-lq", "tower": {"kind": "tensor", "dims": [2, 2]},
+                               "trails": 3}))
+    assert main(["verify", "--experiment", "lp-lq", "--config", str(cfg), "--seed", "1"]) == 2
+    assert "unknown keys ['trails']" in capsys.readouterr().err
+    assert not verify_configs
+
+
 def test_verify_without_config_defaults_to_200_trials(verify_configs):
     assert main(["verify", "--experiment", "weak-type", "--tower", "tensor:2", "--seed", "1"]) == 0
     assert verify_configs[0].trials == 200

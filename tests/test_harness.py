@@ -14,6 +14,7 @@ import ncmart.harness as harness
 import ncmart.martingale as mg
 import ncmart.spectral as spectral
 from ncmart.algebra import FiltrationSpec, Tower, build_tower
+from ncmart.fractional import CoefficientSequence
 from ncmart.harness import (
     ConfigError,
     ExperimentConfig,
@@ -78,6 +79,15 @@ def test_config_rejects_garbage():
         _cfg("weak-type", trials=0)
     with pytest.raises(ConfigError):
         _cfg("example", extremal_n_max=0)
+
+
+def test_coefficient_sequence_is_no_coefficient_source():
+    """A config's coefficients are ``auto``, ``optimize`` or values, as its JSON
+    form can hold; a ``CoefficientSequence`` fails before any trial runs."""
+    cfg = ExperimentConfig("lp-lq", FiltrationSpec.tensor([2, 2]),
+                           coeffs=CoefficientSequence((0.5, 0.25), "user"))
+    with pytest.raises(ConfigError, match="bad coefficient source"):
+        run_ratio_experiment(cfg)
 
 
 def test_unknown_experiment():

@@ -208,3 +208,41 @@ def test_guard_flags_an_unset_parameter():
         "TABLE = {'g': g}\nf(1, 2)\nK().m(1)\nK.s(1, 2)\nTABLE['g'](threads=2)\n")
     assert _unset_parameters({"a": tree}, [tree]) == [
         ("a", "f", "c"), ("a", "f", "d"), ("a", "g", "z"), ("a", "inner", "flag"), ("a", "m", "y")]
+
+
+# ``numpy.linalg`` names any module may use.  Every decomposition goes through
+# ``spectral``, whose gateways turn a solver failure into ``ArithmeticError``.
+LINALG_ANYWHERE = {"norm", "LinAlgError"}
+
+
+def _stray_linalg(trees):
+    """``(module, line, name)`` of each ``numpy.linalg`` name outside ``spectral``
+    that is not in ``LINALG_ANYWHERE``, read as an attribute or imported."""
+    found = []
+    for module, tree in trees.items():
+        if module == "spectral":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "attr", None) == "linalg":
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found.extend((module, node.lineno, n) for n in names if n not in LINALG_ANYWHERE)
+    return sorted(found)
+
+
+def test_decompositions_go_through_spectral():
+    stray = _stray_linalg(_source_trees())
+    assert not stray, "numpy.linalg outside spectral.py: " + ", ".join(
+        f"{module}.py:{line} {name}" for module, line, name in stray)
+
+
+def test_guard_flags_a_decomposition_outside_spectral():
+    trees = {name: ast.parse(text) for name, text in {
+        "a": "import numpy as np\nfrom numpy.linalg import norm, svd\n\nx = np.linalg.norm(1)\n"
+             "y = np.linalg.eigvalsh(2)\ntry:\n    pass\nexcept np.linalg.LinAlgError:\n    pass\n",
+        "spectral": "import numpy\n\nz = numpy.linalg.eigh(3)\n",
+    }.items()}
+    assert _stray_linalg(trees) == [("a", 2, "svd"), ("a", 5, "eigvalsh")]
