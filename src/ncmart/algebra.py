@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import _eigvalsh
+from .spectral import _eigh
 
 __all__ = [
     "TowerError",
@@ -45,7 +45,7 @@ DEPENDENCE_TOL = 1e-12
 # Structural validation tolerance for user-supplied bases.
 STRUCTURE_TOL = 1e-8
 # Eigenvalues of a generic level element closer than this (relative) are
-# one multiplicity in ``Tower.level_constant``.
+# one multiplicity in ``Tower._block_constants``.
 MULTIPLICITY_TOL = 1e-10
 # Dense basis stacks above this entry count are never materialized.
 MAX_STACK_ENTRIES = 1 << 24
@@ -301,6 +301,13 @@ class Tower:
         # Equal weights (tensor, abelian, unweighted custom towers) give every
         # unit vector the trace weight ``weights[0]``.
         self.uniform_trace = bool(np.all(self.weights == self.weights[0]))
+        if spec.kind == "custom":
+            self._level_constants, self._zetas = self._block_constants()
+        else:
+            # Tensor: E_11 (x) ... (x) E_12 (x) 1, E_12 in factor k, reaches c_k in D_k.
+            # Abelian: D_1 is level 1, and D_k holds the Haar steps on the atoms of level k-1.
+            c = self._level_constants = tuple(1.0 / s for s in self._sub_dims[1:])
+            self._zetas = c if spec.kind == "tensor" else c[:1] + c[:-1]
 
     # -- construction of custom towers ------------------------------------
 
@@ -338,6 +345,11 @@ class Tower:
         prev.setflags(write=False)
         self._stack = prev
         self._level_dims = tuple(dims)
+        if spec.weights:
+            # a state that is not a trace has no trace-preserving expectations
+            a, b = self._generic(self.n_levels, 2)
+            if abs(self.trace(a @ b - b @ a)) > STRUCTURE_TOL * self.norm2(a) * self.norm2(b):
+                raise TowerError("trace weights are not a trace on the top level")
 
     def _validate_custom_level(self, k, basis, prev):
         """``basis`` and ``prev`` are orthonormal under the uniform trace."""
@@ -356,6 +368,53 @@ class Tower:
             raise TowerError(f"custom level {k} span is not an algebra")
         if prev is not None and outside(prev):
             raise TowerError(f"custom level {k} does not contain level {k - 1}")
+
+    def _generic(self, k, count):
+        """``count`` seeded generic elements of level ``k``, the same on every call."""
+        coords = np.random.default_rng(0).standard_normal((count, self.level_dim(k), 2)) @ [1, 1j]
+        return np.tensordot(coords, self.level_basis(k), axes=(1, 0))
+
+    def _block_constants(self):
+        """``(c_1, ..., c_n)`` and ``(zeta_1, ..., zeta_n)`` of a custom tower,
+        from its blocks; ``zeta_k`` is ``None`` where ``D_k`` is trivial.
+
+        A block ``M_n (x) 1_m`` of level ``k`` has minimal projections of one
+        trace ``t``; ``c_k`` is the least.  On ``D_k``, ``||x||_inf`` is the
+        largest ``|<x xi, eta>| = <x, F>_tau = <x, F - E_{k-1} F>_tau`` over
+        unit ``xi, eta`` of a block, ``F = eta xi^* / t``, so ``1 / zeta_k`` is
+        the largest ``||F - E_{k-1} F||_2^2``, reached at ``x = F - E_{k-1}
+        F``.  Level ``k - 1`` cuts a block into copies of its own blocks
+        (Goodman, de la Harpe & Jones, 1989, ch. 2); ``E_{k-1} F = 0`` for
+        ``xi, eta`` in two copies, and in a block that is one copy of a
+        level-(k-1) block of minimal trace ``T``, ``E_{k-1} F`` is ``F`` read
+        there times ``t/T``, of squared norm ``1/T``.  As ``||F||_2^2 = 1/t``,
+        ``1 / zeta_k`` is the largest ``1/t`` over blocks of two or more
+        copies (all of level 1, as ``E_0 = 0``) and ``1/t - 1/T`` over single
+        copies.  A spectral projection ``P`` of a generic self-adjoint level
+        element is minimal, and lies in a single copy iff ``(1 - P)
+        E_{k-1}(P) y P = 0`` for a generic ``y`` (``y = 1`` misses copies of
+        one 1-dimensional block, as ``C 1`` in ``M_2``); there ``1/t - 1/T =
+        (1 - r)/t`` with ``r = ||E_{k-1} P||_2^2 / t``, elsewhere ``r = 0``.
+        On a uniform trace ``t`` is the multiplicity over ``d``, exactly.
+        """
+        consts = []
+        for k in range(1, self.n_levels + 1):
+            x, y = self._generic(k, 2)
+            vals, vecs = _eigh(x + x.conj().T, x)
+            # merging two eigenvalues could overstate the constants: a gap near rounding
+            gap = MULTIPLICITY_TOL * max(1.0, float(np.max(np.abs(vals))))
+            cluster = np.concatenate([[0], np.cumsum(np.diff(vals) > gap)])
+            onehot = cluster[:, None] == np.arange(cluster[-1] + 1)
+            uniform = self.uniform_trace
+            t = onehot.sum(axis=0) / self.dim if uniform else self.weights @ abs(vecs) ** 2 @ onehot
+            proj = np.einsum("ap,bp,pr->rab", vecs, vecs.conj(), onehot)
+            down = self.conditional_expectation(k - 1, proj)
+            off = np.linalg.norm((down - proj @ down) @ y @ proj, axis=(1, 2)) / np.linalg.norm(y)
+            r = np.where(off <= STRUCTURE_TOL, (abs(down) ** 2 @ self.weights).sum(axis=1) / t, 0.0)
+            j = int(np.argmax((1 - r) / t))
+            trivial = self._level_dims[k] == self._level_dims[k - 1]
+            consts.append((float(t.min()), None if trivial else min(1.0, float(t[j] / (1 - r[j])))))
+        return tuple(zip(*consts))
 
     # -- basic trace geometry ----------------------------------------------
 
@@ -381,34 +440,17 @@ class Tower:
         return self._level_dims[k]
 
     def level_constant(self, k):
-        """Smallest trace of a minimal projection of level ``k``; ``None``
-        on a custom tower with a non-uniform trace.
-
-        Every ``x`` in level ``k`` has ``||x||_inf^2 <= ||x||_2^2 / c``
-        with ``c`` this value.  On a uniform custom tower, level ``k`` is
-        ``sum_j M_{n_j} (x) 1_{m_j}`` in ``M_d``, so its minimal
-        projections have rank ``m_j`` and trace ``m_j / d`` (that is
-        ``Tr(P_j) / (n_j d)`` for the central projection ``P_j``).  The
-        spectral projections of a generic self-adjoint element of the level
-        are minimal, one per eigenvalue, so ``c`` is the smallest eigenvalue
-        multiplicity over ``d``.  The element is drawn from a fixed seed.
-        """
+        """Smallest trace ``c_k`` of a minimal projection of level ``k``:
+        ``||x||_inf^2 <= ||x||_2^2 / c_k`` on the level."""
         self._check_level(k)
-        if self.spec.kind != "custom":
-            return 1.0 / self._sub_dims[k]
-        if not self.uniform_trace:
-            return None
-        basis = self.level_basis(k)
-        rng = np.random.default_rng(0)
-        coeffs = rng.standard_normal(basis.shape[0]) + 1j * rng.standard_normal(basis.shape[0])
-        x = np.tensordot(coeffs, basis, axes=(0, 0))
-        vals = _eigvalsh(x + x.conj().T, x)
-        # Merging two eigenvalues could overstate the constant, while
-        # splitting one only weakens the bound, so the gap stays near rounding.
-        gap = MULTIPLICITY_TOL * max(1.0, float(np.max(np.abs(vals))))
-        edges = np.flatnonzero(np.diff(vals) > gap)
-        sizes = np.diff(np.concatenate([[0], edges + 1, [vals.size]]))
-        return int(sizes.min()) / self.dim
+        return self._level_constants[k - 1]
+
+    def difference_constant(self, k):
+        """``zeta_k``, the largest ``zeta`` with ``||x||_inf^2 <= ||x||_2^2 / zeta`` on ``D_k``."""
+        self._check_level(k)
+        if self._zetas[k - 1] is None:
+            raise TowerError(f"difference subspace at level {k} is trivial")
+        return self._zetas[k - 1]
 
     # -- conditional expectations ------------------------------------------
 

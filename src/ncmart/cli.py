@@ -1,9 +1,9 @@
 """Command line interface.
 
 Subcommands: ``zeta`` (filtration constants by optimization, checked
-against the closed form on tensor and abelian towers), ``verify`` (ratio
-and inequality experiments), ``example`` (extremal family), ``norms`` (norm
-evaluation of an operator file).  Exit code 0 on success, 1 when a check
+against the tower's closed form), ``verify`` (ratio and inequality
+experiments), ``example`` (extremal family), ``norms`` (norm evaluation of
+an operator file).  Exit code 0 on success, 1 when a check
 fails, 2 on bad input, 3 on a numerical failure (a decomposition that does
 not converge, or an arithmetic error).
 """
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import martingale as mg
 from .algebra import FiltrationSpec, TowerError, build_tower, operator_from_json
-from .fractional import zeta_sequence, _closed_form
+from .fractional import zeta_sequence
 from .harness import (
     EXPERIMENTS,
     ConfigError,
@@ -63,18 +63,14 @@ def _write_or_print(text, out):
 def _cmd_zeta(args) -> int:
     tower = _tower_from_args(args)
     seq = zeta_sequence(tower, "optimize", restarts=args.restarts, tol=args.tol, seed=args.seed)
-    closed, _ = _closed_form(tower)
-    payload = {"tower": tower.spec.to_json(), "coefficients": seq.to_json()}
-    status = 0
-    if closed is not None:
-        gaps = [abs(a - b) for a, b in zip(seq.values, closed)]
-        payload["closed_form"] = closed
-        payload["max_gap"] = max(gaps)
-        if max(gaps) > CLOSED_FORM_GAP:
-            payload["status"] = "closed-form mismatch"
-            status = 1
+    closed = list(zeta_sequence(tower, "auto").values)
+    gap = max(abs(a - b) for a, b in zip(seq.values, closed))
+    payload = {"tower": tower.spec.to_json(), "coefficients": seq.to_json(),
+               "closed_form": closed, "max_gap": gap}
+    if gap > CLOSED_FORM_GAP:
+        payload["status"] = "closed-form mismatch"
     _write_or_print(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
-    return status
+    return int(gap > CLOSED_FORM_GAP)
 
 
 def _cmd_verify(args) -> int:

@@ -3,7 +3,8 @@
 The constant of a difference subspace ``D_k`` is the inverse squared norm
 of the formal identity from ``(D_k, uniform norm)`` to ``(D_k, L2 norm)``;
 equivalently ``1 / r^2`` where ``r`` is the largest uniform norm on the
-L2 unit sphere of ``D_k``.  Fractional integrals scale the k-th martingale
+L2 unit sphere of ``D_k``: ``Tower.difference_constant``, cross-checked by
+``zeta_optimize``.  Fractional integrals scale the k-th martingale
 difference by that constant raised to the order.
 """
 
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -43,7 +43,7 @@ class CoefficientSequence:
     """Positive scalars driving a martingale transform, with provenance."""
 
     values: tuple
-    provenance: str  # closed_form_tensor | closed_form_abelian_dyadic | optimized | user
+    provenance: str  # closed_form_{tensor,abelian_dyadic,custom} | optimized | user
     certificates: tuple = ()
 
     def __post_init__(self):
@@ -82,8 +82,7 @@ def _alternating_max(basis_flat, d, starts, tol, cap):
     subspace; ``starts`` is an (s, m) array of unit coefficient vectors.
     A path stops when its objective gains less than the relative ``tol``,
     or after ``MAX_ALTERNATING_STEPS`` steps.  All paths stop once the best
-    objective is within ``tol`` of ``cap``, a proven upper bound on it
-    (``None`` when there is none): no start can do better.
+    objective is within ``tol`` of ``cap``, a proven upper bound: no start can do better.
     Returns per-start objectives and the best coefficient vector.  The
     objective is nondecreasing along each iteration path by construction;
     this is asserted up to roundoff.
@@ -104,7 +103,7 @@ def _alternating_max(basis_flat, d, starts, tol, cap):
         obj[idx] = sigma
         active[idx] = moved
         live = idx[moved]
-        if live.size == 0 or (cap is not None and obj.max() * (1 + tol) >= cap):
+        if live.size == 0 or obj.max() * (1 + tol) >= cap:
             break
         # next coefficients maximize Re <u, X(c) v> over the unit sphere
         pos = np.searchsorted(idx, live)
@@ -129,17 +128,17 @@ def zeta_optimize(tower: Tower, k, restarts=32, tol=1e-10, seed=0, return_detail
     stationarity, and stops as soon as it reaches ``cap`` within ``tol``.
     The starts are drawn in the basis's own field: real on the real tensor
     bases, whose extremals are real, and complex otherwise.
-    Returns an upper bound on the constant; closed forms bound it from the
-    other side in tests.
+    Returns an upper bound on the constant, a cross-check of the closed
+    form ``tower.difference_constant(k)``.
 
     A ratio above ``cap`` by more than rounding raises ``ArithmeticError``.
-    The details record the bound (``upper_bound``, ``None`` where the tower
-    has none), whether it was reached (``certified``; then the constant
-    equals the level constant), and what ran: the search's basis starts
-    (``basis_starts``, 0 when the basis evaluation certified the level), the
-    random starts (``restarts``) and the five best objectives of the starts
-    (``per_start_top``: where the path stopped, or the single evaluation of
-    each random start on a level certified without a search).
+    The details record the bound (``upper_bound``), whether it was reached
+    (``certified``; then the constant equals the level constant), and what
+    ran: the search's basis starts (``basis_starts``, 0 when the basis
+    evaluation certified the level), the random starts (``restarts``) and
+    the five best objectives of the starts (``per_start_top``: where the
+    path stopped, or the single evaluation of each random start on a level
+    certified without a search).
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -151,8 +150,7 @@ def zeta_optimize(tower: Tower, k, restarts=32, tol=1e-10, seed=0, return_detail
         raise TowerError(f"difference subspace at level {k} is trivial")
     d = tower.dim
     basis_flat = basis.reshape(m, d * d)
-    level = tower.level_constant(k)
-    cap = None if level is None else level**-0.5
+    cap = tower.level_constant(k) ** -0.5
 
     base_obj = _svd(basis, False)[:, 0]
     rng = np.random.default_rng(seed)
@@ -161,7 +159,7 @@ def zeta_optimize(tower: Tower, k, restarts=32, tol=1e-10, seed=0, return_detail
         rand = rand + 1j * rng.standard_normal((restarts, m))
     rand /= np.linalg.norm(rand, axis=1, keepdims=True)
 
-    if cap is not None and base_obj.max() * (1 + tol) >= cap:
+    if base_obj.max() * (1 + tol) >= cap:
         # a basis element is extremal; the random starts are only checked
         basis_starts = 0
         obj = _svd((rand @ basis_flat).reshape(restarts, d, d), False)[:, 0]
@@ -174,7 +172,7 @@ def zeta_optimize(tower: Tower, k, restarts=32, tol=1e-10, seed=0, return_detail
         starts[basis_starts:] = rand
         obj, _ = _alternating_max(basis_flat, d, starts, tol, cap)
     best = max(float(np.max(obj)), float(np.max(base_obj)))
-    if cap is not None and best > cap * (1 + CAP_ROUNDING):
+    if best > cap * (1 + CAP_ROUNDING):
         raise ArithmeticError(
             f"ratio {best!r} on D_{k} exceeds the level bound {cap!r}")
     zeta = 1.0 / best**2
@@ -187,61 +185,30 @@ def zeta_optimize(tower: Tower, k, restarts=32, tol=1e-10, seed=0, return_detail
             "best_ratio": best,
             "per_start_top": sorted((float(o) for o in obj), reverse=True)[:5],
             "upper_bound": cap,
-            "certified": cap is not None and best * (1 + tol) >= cap,
+            "certified": best * (1 + tol) >= cap,
         }
         return zeta, details
     return zeta
 
 
-def _closed_form(tower: Tower):
-    """The constants of a tensor or abelian tower from its level constants
-    ``c_k``, with their provenance; ``(None, None)`` on a custom tower.
-
-    Tensor: ``||x||_inf^2 <= ||x||_2^2 / c_k`` on level ``k``, with equality
-    at the rank-one ``E_11 (x) ... (x) E_11 (x) E_12 (x) 1`` (``E_12`` in
-    factor ``k``) in ``D_k``, so ``zeta_k = c_k``.  Abelian: ``D_1`` is the
-    whole first level, so ``zeta_1 = c_1``; deeper ``D_k`` are spanned by
-    disjoint Haar steps on the atoms of level ``k - 1``: ``zeta_k = c_{k-1}``.
-    """
-    if tower.spec.kind == "tensor":
-        levels = range(1, tower.n_levels + 1)
-    elif tower.spec.kind == "abelian_dyadic":
-        levels = [1, *range(1, tower.n_levels)]
-    else:
-        return None, None
-    return [tower.level_constant(k) for k in levels], "closed_form_" + tower.spec.kind
-
-
 def zeta_sequence(tower: Tower, method="auto", restarts=32, tol=1e-10, seed=0):
     """Coefficient sequence for the tower.
 
-    ``method`` is ``"auto"`` (the closed form on tensor and abelian towers,
-    else the optimizer, whose result is kept per tower and arguments) or
-    ``"optimize"`` (``zeta_optimize`` at every level, on every call).
+    ``method`` is ``"auto"`` (``tower.difference_constant`` at every level)
+    or ``"optimize"`` (``zeta_optimize`` at every level, on every call).
     A sequence of given values is ``CoefficientSequence(values, "user")``.
     """
     if method == "auto":
-        closed, provenance = _closed_form(tower)
-        if closed is not None:
-            return CoefficientSequence(tuple(closed), provenance)
-        return _auto_optimized(tower, restarts, tol, seed)
+        values = tuple(tower.difference_constant(k) for k in range(1, tower.n_levels + 1))
+        return CoefficientSequence(values, "closed_form_" + tower.spec.kind)
     if method != "optimize":
         raise ValueError(f"unknown coefficient method {method!r}")
-    return _optimized(tower, restarts, tol, seed)
-
-
-def _optimized(tower, restarts, tol, seed):
     vals, certs = [], []
     for k in range(1, tower.n_levels + 1):
         z, det = zeta_optimize(tower, k, restarts=restarts, tol=tol, seed=seed, return_details=True)
         vals.append(min(z, 1.0))
         certs.append(tuple(sorted(det.items())))
     return CoefficientSequence(tuple(vals), "optimized", tuple(certs))
-
-
-# A tower's ``auto`` coefficients without a closed form are optimized once:
-# ``build_tower`` shares towers, so every run on an equal spec reuses them.
-_auto_optimized = lru_cache(maxsize=32)(_optimized)
 
 
 # ---------------------------------------------------------------------------

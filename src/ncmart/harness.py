@@ -303,7 +303,7 @@ def _dense_extremal(tower):
 
 def _resolve_coeffs(tower, coeffs_cfg) -> CoefficientSequence:
     """The coefficient sequence of a run: one coefficient per tower level."""
-    if coeffs_cfg in ("auto", "optimize"):
+    if isinstance(coeffs_cfg, str) and coeffs_cfg in ("auto", "optimize"):
         coeffs = zeta_sequence(tower, coeffs_cfg)
     else:
         try:

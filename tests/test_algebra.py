@@ -214,18 +214,20 @@ def test_expectation_level_out_of_range(tensor22):
 
 
 def _weighted_chain():
-    """``custom4``'s block-diagonal chain inside M_4 under the trace weights (.1, .2, .3, .4)."""
+    """``custom4``'s first two levels, then M_2 + M_2, inside M_4 under the
+    trace weights (.1, .1, .4, .4), a trace on M_2 + M_2 (not on M_4)."""
     e = np.eye(4, dtype=complex)
     p = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
-    units = list(np.eye(16, dtype=complex).reshape(16, 4, 4))
-    return build_tower(FiltrationSpec.custom([[p, e - p], [np.diag(r) for r in e], units],
-                                             weights=[0.1, 0.2, 0.3, 0.4]))
+    units = np.eye(16, dtype=complex).reshape(16, 4, 4)
+    blocks = [units[4 * i + j] for i in range(4) for j in range(4) if i // 2 == j // 2]
+    return build_tower(FiltrationSpec.custom([[p, e - p], [np.diag(r) for r in e], blocks],
+                                             weights=[0.1, 0.1, 0.4, 0.4]))
 
 
 @pytest.mark.parametrize("spec, levels", [
     ("tensor:2,2,2", None),                # basis path; level 3 is the full level
     ("tensor:2,2,2,2,2,2,2", (6, 7)),      # level 6 partial trace (2^26 stack entries), full 7
-    ("weighted", None),                    # weighted custom tower, basis path and full level
+    ("weighted", None),                    # weighted custom tower, basis path
     ("abelian:3", None),                   # dense operators on an abelian tower
 ])
 def test_stacked_expectation_matches_one_operator_at_a_time(spec, levels, rng):
@@ -612,7 +614,7 @@ def test_level_constant_closed_forms(spec, expected):
 
 def test_level_constant_custom(custom4, weighted2, tensor22):
     assert [custom4.level_constant(k) for k in (1, 2, 3)] == [1 / 2, 1 / 4, 1 / 4]
-    assert weighted2.level_constant(1) is None
+    assert weighted2.level_constant(1) == 0.25
     # the levels of tensor:2,2 handed over as spanning sets
     same = build_tower(FiltrationSpec.custom([tensor22.level_basis(k) for k in (1, 2)]))
     assert [same.level_constant(k) for k in (1, 2)] == [tensor22.level_constant(k)
@@ -626,20 +628,19 @@ def test_level_constant_custom(custom4, weighted2, tensor22):
 
 
 def test_level_constant_eigensolver_failure_is_numerical(custom4, monkeypatch):
-    """A custom level constant whose eigenvalue call fails raises
-    ``ArithmeticError`` naming the seeded level element by digest."""
-    basis = custom4.level_basis(2)
-    rng = np.random.default_rng(0)
-    x = np.tensordot(rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis)),
-                     basis, axes=(0, 0))
+    """Building a custom tower whose eigensolver call fails raises
+    ``ArithmeticError`` naming the seeded element of level 1 by digest."""
+    basis = custom4.level_basis(1)
+    coords = np.random.default_rng(0).standard_normal((2, len(basis), 2)) @ [1, 1j]
+    x = np.tensordot(coords, basis, axes=(1, 0))[0]
     digest = hashlib.sha256(np.ascontiguousarray(x)).hexdigest()[:16]
 
     def fail(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(ArithmeticError, match=f"eigensolver failed on operator sha256:{digest}"):
-        custom4.level_constant(2)
+        Tower(custom4.spec)
 
 
 def test_abelian_level_constants_and_atoms_are_closed_forms():
@@ -698,6 +699,26 @@ def test_custom_tower_rejects_bad_weights():
         build_tower(FiltrationSpec.custom([[e]], weights=[0.5, 0.6]))
     with pytest.raises(TowerError):
         build_tower(FiltrationSpec.custom([[e]], weights=[-0.5, 1.5]))
+
+
+def test_custom_tower_rejects_weights_that_are_not_a_trace(weighted2):
+    """On M_2 the weights (1/4, 3/4) give tau(E12 E21) = 1/4 but tau(E21 E12) = 3/4.
+    Weights that are a trace on the top level build: atoms under any weights,
+    and blocks whose units share a weight (``test_weighted_custom_tower_bases``'
+    M_2 + C + C under (.1, .1, .3, .5))."""
+    units = list(np.eye(4, dtype=complex).reshape(4, 2, 2))
+    with pytest.raises(TowerError, match="not a trace"):
+        build_tower(FiltrationSpec.custom([units], weights=[0.25, 0.75]))
+    tiny = [0.5, 0.5, 1e-17]
+    units4 = np.eye(16, dtype=complex).reshape(16, 4, 4)
+    for spec in (weighted2.spec,
+                 FiltrationSpec.custom([[np.diag(r) for r in np.eye(3)]], weights=tiny),
+                 FiltrationSpec.custom([[np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])]],
+                                       weights=tiny),
+                 FiltrationSpec.custom([[np.diag([1.0, 1.0, 0.0, 0.0])],
+                                        [units4[i] for i in (0, 1, 4, 5, 10, 15)]],
+                                       weights=[0.1, 0.1, 0.3, 0.5])):
+        assert Tower(spec).n_levels >= 1
 
 
 def test_custom_tower_rejects_non_selfadjoint_span():

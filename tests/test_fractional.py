@@ -257,27 +257,87 @@ def test_optimizer_custom_tower(custom4, monkeypatch):
     assert z == pytest.approx(0.5, rel=1e-6)
 
 
-def test_auto_sequence_is_optimized_once_per_tower(monkeypatch):
-    """Equal custom specs share one tower, whose optimized ``auto``
-    coefficients are computed once; ``optimize`` always reruns."""
+@pytest.mark.parametrize("spec", ["tensor:2,3", "abelian:3", "custom4", "weighted2"])
+def test_auto_never_optimizes(request, spec, monkeypatch):
+    """``auto`` reads the closed form on every tower kind; only ``optimize`` searches."""
     calls = []
-    real = fractional.zeta_optimize
+    monkeypatch.setattr(fractional, "zeta_optimize", lambda *a, **kw: calls.append(1))
+    tower = (request.getfixturevalue(spec) if spec in ("custom4", "weighted2")
+             else build_tower(FiltrationSpec.parse(spec)))
+    seq = zeta_sequence(tower, "auto")
+    assert calls == [] and len(seq) == tower.n_levels
+    assert seq.provenance == "closed_form_" + tower.spec.kind
 
-    def counting(tower, k, **kw):
-        calls.append(k)
-        return real(tower, k, **kw)
 
-    monkeypatch.setattr(fractional, "zeta_optimize", counting)
+def _units(n):
+    return list(np.eye(n * n, dtype=complex).reshape(n * n, n, n))
 
-    def spec():  # a chain no other test builds, so nothing is cached yet
-        p = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        return FiltrationSpec.custom([[p], [np.diag(r) for r in np.eye(3)]])
 
-    first = zeta_sequence(build_tower(spec()), "auto", restarts=4)
-    again = zeta_sequence(build_tower(spec()), "auto", restarts=4)
-    assert again is first and calls == [1, 2]
-    zeta_sequence(build_tower(spec()), "optimize", restarts=4)
-    assert calls == [1, 2, 1, 2]
+def _corner(ms, d, at=0):
+    """Each matrix of ``ms`` placed at rows and columns ``at, at+1, ...`` of ``d x d`` zeros."""
+    out = np.zeros((len(ms), d, d), dtype=complex)
+    out[:, at:at + len(ms[0]), at:at + len(ms[0])] = ms
+    return list(out)
+
+
+def _rotated(sets, d):
+    """The spanning sets conjugated by a seeded Haar unitary of ``M_d``."""
+    rng = np.random.default_rng(5)
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    return [[u @ m @ u.conj().T for m in s] for s in sets]
+
+
+_P = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
+_CUSTOM4 = [[_P, np.eye(4) - _P], [np.diag(r) for r in np.eye(4)], _units(4)]
+_M2_C = [_corner(_units(2), 3) + _corner([np.eye(1)], 3, 2), _units(3)]
+_M4_C = [_corner([np.kron(u, np.eye(2)) for u in _units(2)], 5) + _corner([np.eye(1)], 5, 4),
+         _corner(_units(4), 5) + _corner([np.eye(1)], 5, 4), _units(5)]
+BLOCK_TOWERS = {
+    "custom4": lambda: FiltrationSpec.custom(_CUSTOM4),
+    "custom4 rotated": lambda: FiltrationSpec.custom(_rotated(_CUSTOM4, 4)),
+    "M_2 + C in M_3": lambda: FiltrationSpec.custom(_M2_C),
+    "M_2 + C in M_3 rotated": lambda: FiltrationSpec.custom(_rotated(_M2_C, 3)),
+    "M_2 (x) 1_2 + C in M_4 + C in M_5": lambda: FiltrationSpec.custom(_M4_C),
+    "M_2 (x) 1_2 + C in M_4 + C in M_5 rotated": lambda: FiltrationSpec.custom(
+        _rotated(_M4_C, 5)),
+    "tensor:2,3": lambda: FiltrationSpec.custom(
+        [build_tower(FiltrationSpec.tensor([2, 3])).level_basis(k) for k in (1, 2)]),
+    "tensor:2,3,2": lambda: FiltrationSpec.custom(
+        [build_tower(FiltrationSpec.tensor([2, 3, 2])).level_basis(k) for k in (1, 2, 3)]),
+    "diagonal chain under (.1, .2, .3, .4)": lambda: FiltrationSpec.custom(
+        _CUSTOM4[:2], weights=[0.1, 0.2, 0.3, 0.4]),
+    # blocks made of copies of one 1-dimensional block, which (1 - P) E(P) P = 0
+    # alone would take for single copies
+    "C 1 in M_2": lambda: FiltrationSpec.custom([[np.eye(2)], _units(2)]),
+    "C p + C (1 - p) in M_2 + M_2": lambda: FiltrationSpec.custom(
+        [[_P], _corner(_units(2), 4) + _corner(_units(2), 4, 2)]),
+}
+
+
+@pytest.mark.parametrize("name", list(BLOCK_TOWERS))
+def test_block_constants_match_the_optimizer(name):
+    """The stored zeta_k equal ``zeta_optimize``'s; on tensor towers given as
+    spanning sets they equal the native closed form, bit for bit."""
+    tower = build_tower(BLOCK_TOWERS[name]())
+    levels = range(1, tower.n_levels + 1)
+    stored = [tower.difference_constant(k) for k in levels]
+    assert stored == pytest.approx([zeta_optimize(tower, k) for k in levels], rel=1e-12, abs=0)
+    if name.startswith("tensor:"):
+        assert tuple(stored) == zeta_sequence(build_tower(FiltrationSpec.parse(name))).values
+    if name == "diagonal chain under (.1, .2, .3, .4)":
+        assert stored == pytest.approx([0.3, 0.15], rel=1e-14)
+
+
+def test_trivial_difference_subspace_has_no_constant():
+    """A custom level equal to the one below builds; its D_k has no constant."""
+    p = np.diag([1.0, 0.0]).astype(complex)
+    tower = build_tower(FiltrationSpec.custom([[p], [p, np.eye(2) - p]]))
+    assert tower.difference_constant(1) == 0.5
+    for fn in (lambda: tower.difference_constant(2), lambda: zeta_sequence(tower, "auto"),
+               lambda: zeta_optimize(tower, 2)):
+        with pytest.raises(TowerError, match="difference subspace at level 2 is trivial"):
+            fn()
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,18 @@ def test_coefficient_sequence_is_no_coefficient_source():
         run_ratio_experiment(cfg)
 
 
+def test_coefficient_array_runs_as_its_tuple():
+    """A numpy array of coefficients runs exactly as the equal tuple does."""
+    reports = []
+    for coeffs in (np.array([0.5, 0.25]), (0.5, 0.25)):
+        cfg = ExperimentConfig("lp-lq", FiltrationSpec.tensor([2, 2]), trials=1, coeffs=coeffs)
+        report = json.loads(emit_report(run_ratio_experiment(cfg), "json"))
+        report.pop("wall_time")
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["config"]["coeffs"] == [0.5, 0.25]
+
+
 def test_unknown_experiment():
     with pytest.raises(ConfigError):
         run_ratio_experiment(_cfg("nonsense"))
