@@ -20,6 +20,7 @@ view of its leading rows.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import threading
@@ -59,6 +60,14 @@ class TowerError(ValueError):
 # specs
 
 
+def _integer(value, name):
+    """``value`` as an ``int``; ``int`` would truncate a fraction or read a bool or a string."""
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
+        if not isinstance(value, bool) and int(value) == value:
+            return int(value)
+    raise TowerError(f"{name} must be an integer, got {value!r}")
+
+
 def _content_digest(spanning_sets):
     """SHA-256 of the shapes and complex entries of the spanning sets, level by level."""
     digest = hashlib.sha256()
@@ -89,13 +98,13 @@ class FiltrationSpec:
     def __post_init__(self):
         # Equal specs share one tower (build_tower), so keep one form of each.
         if self.kind == "tensor":
-            object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
+            object.__setattr__(self, "dims", tuple(_integer(n, "tensor dims") for n in self.dims))
             if not self.dims:
                 raise TowerError("tensor spec needs at least one factor")
             if any(n < 2 for n in self.dims):
                 raise TowerError("tensor factor dimensions must be >= 2")
         elif self.kind == "abelian_dyadic":
-            object.__setattr__(self, "levels", int(self.levels))
+            object.__setattr__(self, "levels", _integer(self.levels, "abelian_dyadic levels"))
             if self.levels < 1:
                 raise TowerError("abelian_dyadic needs levels >= 1")
         elif self.kind == "custom":
@@ -179,9 +188,7 @@ def operator_from_json(obj) -> np.ndarray:
     """The operator of an ``operator_to_json`` object; ``TowerError`` on any other input."""
     if not isinstance(obj, dict):
         raise TowerError("operator JSON must be an object")
-    d = obj.get("dim")
-    if not isinstance(d, int) or isinstance(d, bool):
-        raise TowerError(f"operator dim must be an integer, got {d!r}")
+    d = _integer(obj.get("dim"), "operator dim")
     try:
         re = np.asarray(obj["re"], dtype=float).reshape(d, d)
         im = np.asarray(obj["im"], dtype=float).reshape(d, d)
@@ -302,7 +309,7 @@ class Tower:
         # unit vector the trace weight ``weights[0]``.
         self.uniform_trace = bool(np.all(self.weights == self.weights[0]))
         if spec.kind == "custom":
-            self._level_constants, self._zetas = self._block_constants()
+            self._level_constants, self._zetas, self._central_traces = self._block_constants()
         else:
             # Tensor: E_11 (x) ... (x) E_12 (x) 1, E_12 in factor k, reaches c_k in D_k.
             # Abelian: D_1 is level 1, and D_k holds the Haar steps on the atoms of level k-1.
@@ -375,8 +382,8 @@ class Tower:
         return np.tensordot(coords, self.level_basis(k), axes=(1, 0))
 
     def _block_constants(self):
-        """``(c_1, ..., c_n)`` and ``(zeta_1, ..., zeta_n)`` of a custom tower,
-        from its blocks; ``zeta_k`` is ``None`` where ``D_k`` is trivial.
+        """``(c_1, ..., c_n)``, ``(zeta_1, ..., zeta_n)`` and ``(T_1, ..., T_n)`` of a
+        custom tower, from its blocks; ``zeta_k`` is ``None`` where ``D_k`` is trivial.
 
         A block ``M_n (x) 1_m`` of level ``k`` has minimal projections of one
         trace ``t``; ``c_k`` is the least.  On ``D_k``, ``||x||_inf`` is the
@@ -413,7 +420,8 @@ class Tower:
             r = np.where(off <= STRUCTURE_TOL, (abs(down) ** 2 @ self.weights).sum(axis=1) / t, 0.0)
             j = int(np.argmax((1 - r) / t))
             trivial = self._level_dims[k] == self._level_dims[k - 1]
-            consts.append((float(t.min()), None if trivial else min(1.0, float(t[j] / (1 - r[j])))))
+            consts.append((float(t.min()), None if trivial else min(1.0, float(t[j] / (1 - r[j]))),
+                           (vecs, t[cluster])))
         return tuple(zip(*consts))
 
     # -- basic trace geometry ----------------------------------------------
@@ -451,6 +459,16 @@ class Tower:
         if self._zetas[k - 1] is None:
             raise TowerError(f"difference subspace at level {k} is trivial")
         return self._zetas[k - 1]
+
+    def minimal_trace_power(self, k, s):
+        """``T_k^s``; the central element ``T_k`` of level ``k`` is, on each block, the
+        trace of its minimal projections: ``c_k`` on tensor and abelian towers, ``sum
+        tau(P) P`` over the generic spectral projections ``P`` of ``_block_constants``."""
+        self._check_level(k)
+        if self.spec.kind != "custom":
+            return self._level_constants[k - 1] ** s
+        vecs, traces = self._central_traces[k - 1]
+        return (vecs * traces ** s) @ vecs.conj().T
 
     # -- conditional expectations ------------------------------------------
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import martingale as mg
-from .algebra import FiltrationSpec, Tower, TowerError, build_tower
+from .algebra import FiltrationSpec, Tower, TowerError, _integer, build_tower
 from .fractional import (
     CoefficientSequence,
     embedding_constants_check,
@@ -115,13 +115,13 @@ def _same(value):
 _CONFIG_JSON = {
     "experiment": (_same, _same),
     "tower": (FiltrationSpec.from_json, FiltrationSpec.to_json),
-    "trials": (int, _same),
-    "seed": (int, _same),
+    "trials": (lambda v: _integer(v, "trials"), _same),
+    "seed": (lambda v: _integer(v, "seed"), _same),
     "alphas": (lambda v: tuple(float(a) for a in v), list),
     "pq_pairs": (lambda v: tuple((float(p), float(q)) for p, q in v),
                  lambda v: [list(pq) for pq in v]),
-    "levels": (lambda v: tuple(int(k) for k in v), list),
-    "extremal_n_max": (int, _same),
+    "levels": (lambda v: tuple(_integer(k, "each level") for k in v), list),
+    "extremal_n_max": (lambda v: _integer(v, "extremal_n_max"), _same),
     "profile": (str, _same),
     "coeffs": (lambda v: v if isinstance(v, str) else tuple(v),
                lambda v: v if isinstance(v, str) else list(v)),

@@ -41,10 +41,6 @@ PROJECTION_TOL = 1e-8
 DIFFERENCE_TOL = 1e-9
 # Weights t of the mixed-Hardy refinement's splits (1 - t) * best + t * pure.
 INTERPOLATION_STEPS = (0.25, 0.5, 0.75)
-# Relative eigenvalue gap above which two spectral clusters are kept apart.
-CLUSTER_GAP = 1e-10
-# Random level projections drawn per level by lipschitz_column_lower.
-RANDOM_PROJECTIONS = 16
 
 
 def _abs_squared(x):
@@ -365,94 +361,29 @@ def bmo_norm(m: MartingaleSequence) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Lipschitz lower bounds
-
-
-def _cluster_prefix_projections(h):
-    """Prefix unions of the spectral subspaces of a Hermitian ``h``.
-
-    Eigenvalues closer than ``CLUSTER_GAP`` (relative) form one cluster, and
-    clusters are kept whole so each projection stays inside any
-    *-subalgebra containing ``h``.
-    """
-    vals, vecs = _eigh(h, h)
-    vals, vecs = vals[::-1], vecs[:, ::-1]
-    cuts = [0]
-    for i in range(1, vals.size):
-        if vals[i - 1] - vals[i] > CLUSTER_GAP * max(1.0, abs(vals[0])):
-            cuts.append(i)
-    cuts.append(vals.size)
-    out = []
-    for stop in cuts[1:]:
-        v = vecs[:, :stop]
-        out.append(v @ v.conj().T)
-    return out
-
-
-def _random_level_projections(tower, n, rng, count):
-    out = []
-    for _ in range(count):
-        g = tower.random_element(rng)
-        h = tower.conditional_expectation(n, g)
-        h = tower._dense(h)
-        h = (h + h.conj().T) / 2
-        projs = _cluster_prefix_projections(h)
-        if projs:
-            out.append(projs[rng.integers(0, len(projs))])
-    return out
-
-
-def _abelian_subset_projections(tower, n, y):
-    """Candidate diagonal projections: atoms sorted by column mass."""
-    block = tower._block_size(n)
-    yd = np.abs(tower._dense(y)) ** 2 if y.ndim == 2 else None
-    if yd is not None:
-        col_mass = yd.sum(axis=0)
-    else:
-        col_mass = np.abs(y) ** 2
-    atom_mass = col_mass.reshape(-1, block).sum(axis=1)
-    order = np.argsort(atom_mass)[::-1]
-    out = []
-    sel = np.zeros(tower.dim)
-    for idx in order:
-        sel[idx * block : (idx + 1) * block] = 1.0
-        out.append(np.diag(sel.astype(complex)))
-    return out
+# Lipschitz norm
 
 
 def lipschitz_column_lower(m: MartingaleSequence, beta):
-    """Certified lower bound on the column Lipschitz norm of order ``beta``.
+    """The column Lipschitz norm of order ``beta >= 0``, exactly: the largest of ``||E_1 x||_inf``
+    and ``||y e||_2 / tau(e)^(beta + 1/2)``, ``y = x - E_n x``, over the levels ``n`` and the
+    nonzero projections ``e`` of level ``n``.  It is ``max(||E_1 x||_inf, max_n ||h_n
+    T_n^(-2 beta)||_inf^(1/2))``, ``h_n = E_n(y^* y)``, ``T_n`` of ``Tower.minimal_trace_power``.
 
-    Takes the max of ``||E_1(x)||_inf`` and ``||(x - E_n x) e||_2 /
-    tau(e)^(beta + 1/2)`` over a fixed candidate family of projections ``e``
-    in each level: spectral prefixes of ``E_n((x - E_n x)^*(x - E_n x))``,
-    unions of diagonal level atoms on tensor and abelian towers, and
-    ``RANDOM_PROJECTIONS`` random level projections drawn from one generator
-    seeded 0.  Every candidate gives a lower bound, so a smaller family only
-    gives a weaker one.
+    Proof: ``||y e||_2^2 = tau(h_n e)``.  Write ``e = sum e_b`` over the blocks ``b`` of level
+    ``n``; where ``e_b != 0``, ``a_b = tau(e_b) >= t_b``, the value of ``T_n`` on ``b``.  With
+    ``R = max_b lambda_max(h_b) t_b^(-2 beta)``, ``tau(h_n e) <= sum_b a_b lambda_max(h_b) <=
+    R sum_b a_b^(2 beta + 1) <= R (sum_b a_b)^(2 beta + 1)``, and a minimal projection under
+    the top eigenvector of ``h_b`` in a block reaching ``R`` attains it.
     """
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    tower = m.tower
-    x = m.final
+    if not 0 <= beta < math.inf:
+        raise ValueError("beta must be finite and nonnegative")
+    tower, x, power = m.tower, m.final, -2 * beta
     best = operator_norm(tower.conditional_expectation(1, x))
-    rng = np.random.default_rng(0)
     for n in range(1, tower.n_levels + 1):
-        y = x - tower.conditional_expectation(n, x)
-        if tower.norm2(y) < 1e-14:
-            continue
-        h = tower._dense(tower.conditional_expectation(n, _abs_squared(y)))
-        cands = _cluster_prefix_projections((h + h.conj().T) / 2)
-        if tower.spec.kind in ("abelian_dyadic", "tensor"):
-            cands += _abelian_subset_projections(tower, n, y)
-        cands += _random_level_projections(tower, n, rng, RANDOM_PROJECTIONS)
-        yd = tower._dense(y)
-        for e in cands:
-            te = tower.trace(e).real
-            if te < 1e-14:
-                continue
-            val = tower.norm2(yd @ e) / te ** (beta + 0.5)
-            best = max(best, val)
+        h = tower.conditional_expectation(n, _abs_squared(x - tower.conditional_expectation(n, x)))
+        # T_n is central in level n, so one product serves a scalar or an operator
+        best = max(best, math.sqrt(operator_norm(np.dot(h, tower.minimal_trace_power(n, power)))))
     return best
 
 

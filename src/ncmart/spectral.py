@@ -282,7 +282,7 @@ def lorentz_norm(s: SingularValueFunction, p, q) -> float:
     if q == math.inf:
         return weak_norm(s, p, check_range=False)
     q = float(q)
-    if q <= 0:
+    if not q > 0:  # NaN too
         raise ValueError("q must be positive")
     r = q / p
     edges = np.concatenate([[0.0], s.cums])
@@ -293,9 +293,9 @@ def lorentz_norm(s: SingularValueFunction, p, q) -> float:
 def weak_norm(s: SingularValueFunction, p, check_range=True) -> float:
     """Weak norm ``sup_t t^{1/p} mu_t``, exact on step functions."""
     p = float(p)
-    if check_range and p < 1:
+    if check_range and not p >= 1:  # NaN too
         raise ValueError("weak norm requires p >= 1")
-    if p <= 0:
+    if not p > 0:
         raise ValueError("p must be positive")
     return float(np.max(s.values * s.cums ** (1.0 / p)))
 

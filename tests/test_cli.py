@@ -158,6 +158,35 @@ def test_verify_rejects_unknown_config_keys(tmp_path, verify_configs, capsys):
     assert not verify_configs
 
 
+@pytest.mark.parametrize("field, value", [
+    ("trials", 2.7), ("trials", True), ("trials", math.inf), ("levels", [1.5]),
+    ("extremal_n_max", 1.9),
+    ("tower", {"kind": "tensor", "dims": [2.5, 2]}),
+    ("tower", {"kind": "abelian_dyadic", "levels": True}),
+])
+def test_verify_rejects_non_integral_config_integers(tmp_path, verify_configs, capsys, field,
+                                                     value):
+    """A bool or a fractional number in an integer field is a usage error, not
+    a value that ``int`` truncates; an infinite one is a usage error too, not
+    a numerical failure."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "lp-lq",
+                               "tower": {"kind": "tensor", "dims": [2, 2]}, field: value}))
+    assert main(["verify", "--experiment", "lp-lq", "--config", str(cfg), "--seed", "1"]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+    assert not verify_configs
+
+
+def test_verify_accepts_integral_float_config_integers(tmp_path, verify_configs):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "lp-lq", "tower": {"kind": "tensor", "dims": [2.0, 2]},
+                               "trials": 3.0, "levels": [1.0], "extremal_n_max": 2.0}))
+    assert main(["verify", "--experiment", "lp-lq", "--config", str(cfg), "--seed", "1"]) == 0
+    got = verify_configs[0].to_json()
+    assert (got["trials"], got["levels"], got["extremal_n_max"]) == (3, [1], 2)
+    assert json.dumps(got["tower"]) == json.dumps({"kind": "tensor", "dims": [2, 2]})
+
+
 def test_verify_without_config_defaults_to_200_trials(verify_configs):
     assert main(["verify", "--experiment", "weak-type", "--tower", "tensor:2", "--seed", "1"]) == 0
     assert verify_configs[0].trials == 200
@@ -286,6 +315,29 @@ def test_norms_rejects_non_finite_operator(tmp_path, capsys, bad):
     assert main(["norms", "--tower", "tensor:2,2", "--operator", str(op),
                  "--norm", "lp:1"]) == 2
     assert "NaN or infinite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["weak:nan", "lorentz:2,nan", "lorentz:nan,2",
+                                  "lipschitz_c:nan", "lipschitz_c:inf", "lp:nan"])
+def test_norms_rejects_nan_parameters(tmp_path, capsys, spec):
+    """A NaN norm parameter, or an infinite ``beta``, is a usage error: no ``NaN``
+    printed as JSON, no value read off a comparison that NaN fails."""
+    op = tmp_path / "f.json"
+    op.write_text(json.dumps(operator_to_json(np.random.default_rng(3).standard_normal((8, 8)))))
+    assert main(["norms", "--tower", "tensor:2,2,2", "--operator", str(op), "--norm", spec]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_norms_infinite_exponents_stay_valid(tmp_path, capsys):
+    f = np.diag([4.0, 2.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0]).astype(complex)
+    op = tmp_path / "f.json"
+    op.write_text(json.dumps(operator_to_json(f)))
+    assert main(["norms", "--tower", "tensor:2,2,2", "--operator", str(op),
+                 "--norm", "lp:inf", "--norm", "weak:inf", "--norm", "lorentz:2,inf"]) == 0
+    norms = json.loads(capsys.readouterr().out)["norms"]
+    assert norms["lp:inf"] == norms["weak:inf"] == 4.0
+    # sup t^(1/2) mu_t, reached at the end of the top piece, t = 1/8
+    assert norms["lorentz:2,inf"] == pytest.approx(4 * math.sqrt(1 / 8), rel=1e-15)
 
 
 def test_norms_overflow_is_numerical_failure(tmp_path, capsys):

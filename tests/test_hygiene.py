@@ -1,7 +1,7 @@
 """Source hygiene: every name a module imports is used or re-exported, every
 module-level private name is used somewhere in the package and defined in one
-module only, and every default parameter is set by some call of the package
-or of its benchmark."""
+module only, every module-level constant is read somewhere in the package, and
+every default parameter is set by some call of the package or of its benchmark."""
 
 import ast
 import math
@@ -60,26 +60,33 @@ def _references(tree):
     return refs
 
 
-def _private_definitions(tree):
-    """``(name, node)`` for each module-level ``_name`` function, class or assignment."""
+def _module_definitions(tree):
+    """``(name, node)`` for each module-level function, class or assigned name."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names = [node.name]
+            yield node.name, node
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [t.id for t in targets if isinstance(t, ast.Name)]
-        else:
-            continue
-        for name in names:
-            if name.startswith("_") and not name.endswith("__"):
-                yield name, node
+            yield from ((t.id, node) for t in targets if isinstance(t, ast.Name))
 
 
-def _orphaned_private_names(trees):
-    """Private module-level names that no module reads outside their own definition."""
+def _private_definitions(tree):
+    """``(name, node)`` for each module-level ``_name`` function, class or assignment."""
+    return ((name, node) for name, node in _module_definitions(tree)
+            if name.startswith("_") and not name.endswith("__"))
+
+
+def _constant_definitions(tree):
+    """``(name, node)`` for each module-level ``UPPER_CASE`` assignment, public or not."""
+    return ((name, node) for name, node in _module_definitions(tree)
+            if name.isupper() and isinstance(node, (ast.Assign, ast.AnnAssign)))
+
+
+def _orphaned_names(trees, definitions):
+    """The names of ``definitions`` that no module reads outside their own definition."""
     refs = sum((_references(tree) for tree in trees.values()), Counter())
     return sorted((module, node.lineno, name) for module, tree in trees.items()
-                  for name, node in _private_definitions(tree)
+                  for name, node in definitions(tree)
                   if refs[name] - _references(node)[name] <= 0)
 
 
@@ -89,7 +96,7 @@ def _source_trees():
 
 
 def test_no_orphaned_private_names():
-    orphaned = _orphaned_private_names(_source_trees())
+    orphaned = _orphaned_names(_source_trees(), _private_definitions)
     assert not orphaned, "private names used nowhere in src/ncmart: " + ", ".join(
         f"{module}.{name} (line {line})" for module, line, name in orphaned)
 
@@ -101,8 +108,26 @@ def test_guard_flags_an_orphaned_private_name():
              "def _by_attribute():\n    pass\n\n\ndef public():\n    return _LIMIT\n",
         "b": "import a\nfrom .a import _imported\n\nx = a._by_attribute\n",
     }.items()}
-    assert _orphaned_private_names(trees) == [
+    assert _orphaned_names(trees, _private_definitions) == [
         ("a", 2, "_unused"), ("a", 5, "_recursive"), ("a", 9, "_Orphan")]
+
+
+def test_no_orphaned_constants():
+    """Every module-level constant is read somewhere in the package; a tuning
+    knob left behind by deleted code fails here."""
+    orphaned = _orphaned_names(_source_trees(), _constant_definitions)
+    assert not orphaned, "constants read nowhere in src/ncmart: " + ", ".join(
+        f"{module}.{name} (line {line})" for module, line, name in orphaned)
+
+
+def test_guard_flags_an_orphaned_constant():
+    trees = {name: ast.parse(text) for name, text in {
+        "a": "GAP = 1e-10\nDRAWS: int = 16\nUSED = 2\n_HIDDEN = 3\nLIMIT = LIMIT_B = 4\n"
+             "__all__ = ['GAP']\nlowercase = 5\n\n\ndef f():\n    return USED + LIMIT\n",
+        "b": "from .a import _HIDDEN\n",
+    }.items()}
+    assert _orphaned_names(trees, _constant_definitions) == [
+        ("a", 1, "GAP"), ("a", 2, "DRAWS"), ("a", 5, "LIMIT_B")]
 
 
 def _duplicated_private_names(trees):

@@ -17,6 +17,10 @@ from ncmart.spectral import (
     singular_value_function,
 )
 
+from conftest import peak_allocation
+from test_algebra import _weighted_chain
+from test_fractional import _M4_C, _rotated
+
 
 def _random_dense(rng, d):
     return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -482,27 +486,98 @@ def test_lipschitz_lower_vs_exhaustive(abelian3, rng):
         assert got == pytest.approx(truth, rel=1e-8)
 
 
+def _spectral_prefixes(h):
+    """Projections onto the top eigenvectors of a Hermitian ``h``, cut only
+    between eigenvalues more than 1e-10 (relative) apart, so each lies in any
+    *-subalgebra holding ``h``."""
+    vals, vecs = np.linalg.eigh(h)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    gap = 1e-10 * max(1.0, abs(vals[0]))
+    cuts = [i for i in range(1, vals.size) if vals[i - 1] - vals[i] > gap] + [vals.size]
+    return [vecs[:, :i] @ vecs[:, :i].conj().T for i in cuts]
+
+
+def _ratio(tower, y, e, beta):
+    return tower.norm2(y @ e) / tower.trace(e).real ** (beta + 0.5)
+
+
 def test_lipschitz_lower_is_lower_bound_dense(tensor222, rng):
     t = tensor222
     m = mg.adapt(t, _random_dense(rng, 8))
     beta = 0.5
     got = mg.lipschitz_column_lower(m, beta)
     assert math.isfinite(got) and got >= 0
-    # the spectral prefixes alone, a part of the fixed family, never exceed it
+    # the spectral prefixes of each h_n are level projections, so never exceed it
     x = m.final
     spectral = operator_norm(t.conditional_expectation(1, x))
     for n in range(1, t.n_levels + 1):
         y = x - t.conditional_expectation(n, x)
         h = t.conditional_expectation(n, y.conj().T @ y)
-        for e in mg._cluster_prefix_projections((h + h.conj().T) / 2):
-            spectral = max(spectral, t.norm2(y @ e) / t.trace(e).real ** (beta + 0.5))
+        for e in _spectral_prefixes((h + h.conj().T) / 2):
+            spectral = max(spectral, _ratio(t, y, e, beta))
     assert spectral <= got + 1e-12
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.5])
+def test_lipschitz_tensor_witness(tensor22, beta):
+    """``1 (x) sigma_z`` is its own difference at level 2, ``h_1 = 1`` and ``c_1 = 1/2``."""
+    x = np.kron(np.eye(2), np.diag([1.0, -1.0]))
+    got = mg.lipschitz_column_lower(mg.adapt(tensor22, x), beta)
+    assert got == pytest.approx(2 ** beta, rel=1e-12)
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.5])
+def test_lipschitz_two_block_witness(rotated, beta):
+    """On ``(M_2 (x) 1_2) + C < M_4 + C < M_5``, ``x = (1 (x) sigma_z) + 0`` has
+    ``h_1 = 1_4 + 0``, which lives on the block of minimal trace 2/5, so the
+    norm is ``(5/2)^beta``; ``c_1 = 1/5`` on every block would give ``5^beta``."""
+    x = np.zeros((5, 5), dtype=complex)
+    x[:4, :4] = np.kron(np.eye(2), np.diag([1.0, -1.0]))
+    sets = _M4_C
+    if rotated:
+        # the same seeded unitary turns the tower and x
+        sets, x = _rotated(_M4_C, 5), _rotated([[x]], 5)[0][0]
+    tower = build_tower(FiltrationSpec.custom(sets))
+    got = mg.lipschitz_column_lower(mg.adapt(tower, x), beta)
+    assert got == pytest.approx(2.5 ** beta, rel=1e-12)
+
+
+def _random_minimal_projection(tower, n, rng):
+    """The spectral projection of one eigenvalue of a random self-adjoint
+    element of level ``n``, minimal in the level almost surely."""
+    a = tower.conditional_expectation(n, tower.random_element(rng))
+    vals, vecs = np.linalg.eigh(a + a.conj().T)
+    v = vecs[:, np.abs(vals - vals[rng.integers(vals.size)]) <= 1e-8 * np.abs(vals).max()]
+    return v @ v.conj().T
+
+
+@pytest.mark.parametrize("name", ["custom4", "weighted"])
+def test_lipschitz_bounds_random_minimal_projections(request, name, rng):
+    t = _weighted_chain() if name == "weighted" else request.getfixturevalue(name)
+    m = mg.adapt(t, _random_dense(rng, t.dim))
+    x = m.final
+    for beta in (0.0, 0.5, 1.5):
+        got = mg.lipschitz_column_lower(m, beta)
+        for n in range(1, t.n_levels + 1):
+            y = x - t.conditional_expectation(n, x)
+            ratios = [_ratio(t, y, _random_minimal_projection(t, n, rng), beta) for _ in range(200)]
+            assert max(ratios) <= got * (1 + 1e-12), (beta, n)
+
+
+def test_lipschitz_allocates_a_few_operators(rng):
+    """The norm reads each level through its central element, not through one
+    dense projection per spectral cluster and per atom."""
+    t = build_tower(FiltrationSpec.abelian_dyadic(7))
+    m = mg.adapt(t, _random_dense(rng, t.dim))
+    assert peak_allocation(lambda: mg.lipschitz_column_lower(m, 0.5)) < 10 * t.dim ** 2 * 16
 
 
 def test_lipschitz_rejects_negative_beta(tensor22, rng):
     m = mg.adapt(tensor22, _random_dense(rng, 4))
-    with pytest.raises(ValueError):
-        mg.lipschitz_column_lower(m, -0.5)
+    for beta in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            mg.lipschitz_column_lower(m, beta)
 
 
 # ---------------------------------------------------------------------------
