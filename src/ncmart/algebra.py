@@ -60,12 +60,13 @@ class TowerError(ValueError):
 # specs
 
 
-def _integer(value, name):
-    """``value`` as an ``int``; ``int`` would truncate a fraction or read a bool or a string."""
+def _integer(value, name, low):
+    """``value`` as an ``int`` of at least ``low``; ``int`` would truncate a
+    fraction or read a bool or a string."""
     with contextlib.suppress(TypeError, ValueError, OverflowError):
-        if not isinstance(value, bool) and int(value) == value:
+        if not isinstance(value, bool) and int(value) == value >= low:
             return int(value)
-    raise TowerError(f"{name} must be an integer, got {value!r}")
+    raise TowerError(f"{name} must be an integer and must be at least {low}, got {value!r}")
 
 
 def _content_digest(spanning_sets):
@@ -98,15 +99,11 @@ class FiltrationSpec:
     def __post_init__(self):
         # Equal specs share one tower (build_tower), so keep one form of each.
         if self.kind == "tensor":
-            object.__setattr__(self, "dims", tuple(_integer(n, "tensor dims") for n in self.dims))
+            object.__setattr__(self, "dims", tuple(_integer(n, "tensor dims", 2) for n in self.dims))
             if not self.dims:
                 raise TowerError("tensor spec needs at least one factor")
-            if any(n < 2 for n in self.dims):
-                raise TowerError("tensor factor dimensions must be >= 2")
         elif self.kind == "abelian_dyadic":
-            object.__setattr__(self, "levels", _integer(self.levels, "abelian_dyadic levels"))
-            if self.levels < 1:
-                raise TowerError("abelian_dyadic needs levels >= 1")
+            object.__setattr__(self, "levels", _integer(self.levels, "abelian_dyadic levels", 1))
         elif self.kind == "custom":
             if not self.spanning_sets:
                 raise TowerError("custom spec needs at least one spanning set")
@@ -188,7 +185,7 @@ def operator_from_json(obj) -> np.ndarray:
     """The operator of an ``operator_to_json`` object; ``TowerError`` on any other input."""
     if not isinstance(obj, dict):
         raise TowerError("operator JSON must be an object")
-    d = _integer(obj.get("dim"), "operator dim")
+    d = _integer(obj.get("dim"), "operator dim", 1)
     try:
         re = np.asarray(obj["re"], dtype=float).reshape(d, d)
         im = np.asarray(obj["im"], dtype=float).reshape(d, d)

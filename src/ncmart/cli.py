@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import martingale as mg
-from .algebra import FiltrationSpec, TowerError, build_tower, operator_from_json
+from .algebra import FiltrationSpec, _integer, build_tower, operator_from_json
 from .fractional import zeta_sequence
 from .harness import (
     EXPERIMENTS,
@@ -92,7 +92,7 @@ def _cmd_verify(args) -> int:
     if args.trials is not None:
         obj["trials"] = args.trials
     cfg = ExperimentConfig.from_json(obj)
-    report = run_ratio_experiment(cfg, threads=max(1, args.threads))
+    report = run_ratio_experiment(cfg, threads=args.threads)
     fmt = "csv" if args.out and args.out.endswith(".csv") else "json"
     if args.out:
         emit_report(report, fmt, args.out)
@@ -104,8 +104,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_example(args) -> int:
-    if args.levels < 1:
-        raise ConfigError(f"--levels must be at least 1, got {args.levels}")
+    _integer(args.levels, "--levels", 1)
     rows = []
     for n in range(1, args.levels + 1):
         norms = _example_norms(*extremal_example(n, args.kind))
@@ -206,14 +205,11 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.fn(args)
-    except (ConfigError, TowerError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     # LinAlgError subclasses ValueError, so it must be caught first
     except (np.linalg.LinAlgError, ArithmeticError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError and TowerError too
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

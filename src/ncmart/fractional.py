@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Tower, TowerError
+from .algebra import Tower, TowerError, _integer
 from .martingale import MartingaleSequence
 from .spectral import _svd, lp_norm, singular_value_function
 
@@ -140,8 +140,7 @@ def zeta_optimize(tower: Tower, k, restarts=32, tol=1e-10, seed=0, return_detail
     path stopped, or the single evaluation of each random start on a level
     certified without a search).
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+    _integer(restarts, "restarts", 1)
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     basis = tower.difference_basis(k)

@@ -73,6 +73,9 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The inputs of one run.  Each field's reader in ``_CONFIG_FIELDS`` converts and checks
+    its constructor argument, and ``ConfigError`` names a field that it rejects."""
+
     experiment: str
     tower: FiltrationSpec
     trials: int = 200
@@ -85,46 +88,53 @@ class ExperimentConfig:
     coeffs: object = "auto"
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError(f"trials must be at least 1, got {self.trials}")
-        if self.extremal_n_max < 1:
-            raise ConfigError(f"extremal_n_max must be at least 1, got {self.extremal_n_max}")
+        for name, (read, _) in _CONFIG_FIELDS.items():
+            try:
+                object.__setattr__(self, name, read(getattr(self, name)))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"bad {name}: {exc}") from exc
 
     @staticmethod
     def from_json(obj) -> "ExperimentConfig":
-        """A config from its JSON form; a missing key takes the field's default,
-        and a key that names no field is an error."""
+        """A config from its JSON form; missing keys take their defaults, unknown keys fail."""
+        unknown = sorted(set(obj) - _CONFIG_FIELDS.keys())
+        if unknown or "experiment" not in obj:
+            raise ConfigError(f"unknown keys {unknown}" if unknown else "no experiment")
         try:
-            unknown = sorted(set(obj) - _CONFIG_JSON.keys())
-            if unknown:
-                raise ConfigError(f"unknown keys {unknown}")
-            return ExperimentConfig(**{name: read(obj[name])
-                                       for name, (read, _) in _CONFIG_JSON.items() if name in obj})
-        except (KeyError, TypeError, ValueError, TowerError) as exc:
-            raise ConfigError(f"bad experiment config: {exc}") from exc
+            tower = FiltrationSpec.from_json(obj.get("tower"))
+        except (KeyError, TypeError, TowerError) as exc:
+            raise ConfigError(f"bad tower: {exc}") from exc
+        return ExperimentConfig(**{**obj, "tower": tower})
 
     def to_json(self):
-        return {name: write(getattr(self, name)) for name, (_, write) in _CONFIG_JSON.items()}
+        return {name: write(getattr(self, name)) for name, (_, write) in _CONFIG_FIELDS.items()}
 
 
-def _same(value):
+def _filtration_spec(value):
+    if not isinstance(value, FiltrationSpec):
+        raise TypeError(f"expected a FiltrationSpec, got {value!r}")
     return value
 
 
-# The JSON form of each ExperimentConfig field: (read, write).
-_CONFIG_JSON = {
-    "experiment": (_same, _same),
-    "tower": (FiltrationSpec.from_json, FiltrationSpec.to_json),
-    "trials": (lambda v: _integer(v, "trials"), _same),
-    "seed": (lambda v: _integer(v, "seed"), _same),
+def _coefficient_source(value):
+    if isinstance(value, str) and value not in ("auto", "optimize"):
+        raise ValueError(f'expected "auto", "optimize" or numbers, got {value!r}')
+    return value if isinstance(value, str) else CoefficientSequence(value, "user").values
+
+
+# Each ExperimentConfig field: (read, write to JSON).
+_CONFIG_FIELDS = {
+    "experiment": (str, str),
+    "tower": (_filtration_spec, FiltrationSpec.to_json),
+    "trials": (lambda v: _integer(v, "trials", 1), int),
+    "seed": (lambda v: _integer(v, "seed", 0), int),
     "alphas": (lambda v: tuple(float(a) for a in v), list),
     "pq_pairs": (lambda v: tuple((float(p), float(q)) for p, q in v),
                  lambda v: [list(pq) for pq in v]),
-    "levels": (lambda v: tuple(_integer(k, "each level") for k in v), list),
-    "extremal_n_max": (lambda v: _integer(v, "extremal_n_max"), _same),
-    "profile": (str, _same),
-    "coeffs": (lambda v: v if isinstance(v, str) else tuple(v),
-               lambda v: v if isinstance(v, str) else list(v)),
+    "levels": (lambda v: tuple(_integer(k, "each level", 1) for k in v), list),
+    "extremal_n_max": (lambda v: _integer(v, "extremal_n_max", 1), int),
+    "profile": (str, str),
+    "coeffs": (_coefficient_source, lambda v: v if isinstance(v, str) else list(v)),
 }
 
 
@@ -180,7 +190,7 @@ def emit_report(report: Report, fmt="json", path=None):
 
 
 def trial_rng(seed, *indices):
-    return np.random.default_rng([int(seed) & 0xFFFFFFFF] + [int(i) for i in indices])
+    return np.random.default_rng([seed, *indices])
 
 
 def random_martingale(tower: Tower, profile, rngs) -> list:
@@ -303,13 +313,8 @@ def _dense_extremal(tower):
 
 def _resolve_coeffs(tower, coeffs_cfg) -> CoefficientSequence:
     """The coefficient sequence of a run: one coefficient per tower level."""
-    if isinstance(coeffs_cfg, str) and coeffs_cfg in ("auto", "optimize"):
-        coeffs = zeta_sequence(tower, coeffs_cfg)
-    else:
-        try:
-            coeffs = CoefficientSequence(tuple(float(v) for v in coeffs_cfg), "user")
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad coefficient source {coeffs_cfg!r}: {exc}") from exc
+    coeffs = (zeta_sequence(tower, coeffs_cfg) if coeffs_cfg in ("auto", "optimize")
+              else CoefficientSequence(coeffs_cfg, "user"))
     if len(coeffs) < tower.n_levels:
         raise ConfigError(f"{len(coeffs)} coefficients for a tower of {tower.n_levels} levels")
     return coeffs
@@ -449,7 +454,7 @@ class Experiment:
 
         # Chunks are sampled in order on this thread; with workers, a chunk's
         # trials are evaluated while the next chunk is sampled.
-        with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:  # no thread starts unless used
+        with ThreadPoolExecutor(max_workers=threads) as pool:  # no thread starts unless used
             pending = [p for i in range(0, len(tasks), CHUNK)
                        for p in start(tasks[i:i + CHUNK], pool)]
             outcomes = [p.result() for p in pending] if threads > 1 else pending
@@ -747,6 +752,10 @@ def run_ratio_experiment(cfg: ExperimentConfig, threads=1) -> Report:
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(
             f"unknown experiment {cfg.experiment!r}; choose from {sorted(EXPERIMENTS)}")
+    try:
+        threads = _integer(threads, "threads", 1)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     start = time.perf_counter()
     report = EXPERIMENTS[cfg.experiment](cfg, threads=threads)
     report.wall_time = time.perf_counter() - start

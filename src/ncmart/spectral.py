@@ -279,8 +279,8 @@ def lorentz_norm(s: SingularValueFunction, p, q) -> float:
     p = float(p)
     if p <= 0 or not math.isfinite(p):
         raise ValueError("p must be finite and positive")
-    if q == math.inf:
-        return weak_norm(s, p, check_range=False)
+    if q == math.inf:  # the weak norm, for any p > 0
+        return float(np.max(s.values * s.cums ** (1.0 / p)))
     q = float(q)
     if not q > 0:  # NaN too
         raise ValueError("q must be positive")
@@ -290,13 +290,11 @@ def lorentz_norm(s: SingularValueFunction, p, q) -> float:
     return _root_power_sum(s.values, piece / r, q)
 
 
-def weak_norm(s: SingularValueFunction, p, check_range=True) -> float:
+def weak_norm(s: SingularValueFunction, p) -> float:
     """Weak norm ``sup_t t^{1/p} mu_t``, exact on step functions."""
     p = float(p)
-    if check_range and not p >= 1:  # NaN too
+    if not p >= 1:  # NaN too
         raise ValueError("weak norm requires p >= 1")
-    if not p > 0:
-        raise ValueError("p must be positive")
     return float(np.max(s.values * s.cums ** (1.0 / p)))
 
 

@@ -13,6 +13,8 @@ import ncmart.harness as harness
 import ncmart.martingale as mg
 from ncmart.algebra import FiltrationSpec, Tower, operator_to_json
 from ncmart.cli import main
+from ncmart.fractional import CoefficientSequence
+from ncmart.harness import ConfigError, ExperimentConfig
 
 
 def test_zeta_closed_form_agreement(tmp_path, capsys):
@@ -185,6 +187,76 @@ def test_verify_accepts_integral_float_config_integers(tmp_path, verify_configs)
     got = verify_configs[0].to_json()
     assert (got["trials"], got["levels"], got["extremal_n_max"]) == (3, [1], 2)
     assert json.dumps(got["tower"]) == json.dumps({"kind": "tensor", "dims": [2, 2]})
+
+
+# Bad values of each config field: (field, Python value, JSON value).  A
+# CoefficientSequence has no JSON form; its ``to_json`` object stands in.
+BAD_FIELDS = [
+    ("trials", 2.7, 2.7), ("trials", True, True), ("trials", 0, 0),
+    ("seed", -1, -1), ("seed", 1.5, 1.5), ("seed", True, True),
+    ("extremal_n_max", 2.5, 2.5), ("extremal_n_max", 0, 0),
+    ("levels", (1.5,), [1.5]),
+    ("alphas", ("x",), ["x"]),
+    ("pq_pairs", ((1.0,),), [[1.0]]),
+    ("coeffs", "bogus", "bogus"),
+    ("coeffs", CoefficientSequence((0.5, 0.25), "user"),
+     CoefficientSequence((0.5, 0.25), "user").to_json()),
+    ("tower", {"kind": "tensor", "dims": [2.5, 2]}, {"kind": "tensor", "dims": [2.5, 2]}),
+]
+
+
+@pytest.mark.parametrize("field, value, json_value", BAD_FIELDS,
+                         ids=[f"{f}-{i}" for i, (f, _, _) in enumerate(BAD_FIELDS)])
+def test_every_entry_path_rejects_the_same_input(tmp_path, verify_configs, capsys, field, value,
+                                                 json_value):
+    """The constructor and ``from_json`` raise a ``ConfigError`` naming the
+    field, and ``verify --config`` exits 2 naming it, before anything runs.
+    ``--seed`` always overrides the file's seed, so a bad seed goes through
+    the flag."""
+    base = {"experiment": "lp-lq", "tower": FiltrationSpec.tensor([2, 2]), "trials": 1}
+    with pytest.raises(ConfigError, match=field):
+        ExperimentConfig(**{**base, field: value})
+    obj = {**base, "tower": base["tower"].to_json(), field: json_value}
+    with pytest.raises(ConfigError, match=field):
+        ExperimentConfig.from_json(obj)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(obj))
+    seed = str(json_value) if field == "seed" else "1"
+    assert main(["verify", "--experiment", "lp-lq", "--config", str(cfg), "--seed", seed]) == 2
+    assert field in capsys.readouterr().err
+    assert not verify_configs
+
+
+def test_config_tower_must_be_a_spec():
+    """The constructor takes a ``FiltrationSpec``, not its JSON form."""
+    with pytest.raises(ConfigError, match="tower: expected a FiltrationSpec"):
+        ExperimentConfig("lp-lq", FiltrationSpec.tensor([2, 2]).to_json())
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_verify_rejects_fewer_than_one_thread(capsys, threads):
+    """``--threads`` below 1 is a usage error, not a run on one worker."""
+    assert main(["verify", "--experiment", "lp-lq", "--tower", "tensor:2,2", "--seed", "1",
+                 "--trials", "1", "--threads", threads]) == 2
+    assert "threads must be an integer and must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", [0, -3, 1.5, True])
+def test_runner_rejects_bad_threads(threads):
+    cfg = ExperimentConfig("lp-lq", FiltrationSpec.tensor([2, 2]), trials=1)
+    with pytest.raises(ConfigError, match="threads"):
+        harness.run_ratio_experiment(cfg, threads=threads)
+
+
+def test_seeds_do_not_alias_modulo_two_to_the_32(capsys):
+    """Seed ``2^32 + 1`` draws its own samples, not those of seed 1."""
+    maxima = []
+    for seed in (1, 2**32 + 1):
+        assert main(["verify", "--experiment", "lp-lq", "--tower", "tensor:2,2",
+                     "--seed", str(seed), "--trials", "1"]) == 0
+        maxima.append(json.loads(capsys.readouterr().out)["summary"]["grid_0"]["max"])
+    assert maxima[0] == 0.7503349035226795
+    assert maxima[1] != maxima[0]
 
 
 def test_verify_without_config_defaults_to_200_trials(verify_configs):

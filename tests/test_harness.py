@@ -83,11 +83,10 @@ def test_config_rejects_garbage():
 
 def test_coefficient_sequence_is_no_coefficient_source():
     """A config's coefficients are ``auto``, ``optimize`` or values, as its JSON
-    form can hold; a ``CoefficientSequence`` fails before any trial runs."""
-    cfg = ExperimentConfig("lp-lq", FiltrationSpec.tensor([2, 2]),
-                           coeffs=CoefficientSequence((0.5, 0.25), "user"))
-    with pytest.raises(ConfigError, match="bad coefficient source"):
-        run_ratio_experiment(cfg)
+    form can hold; a ``CoefficientSequence`` fails where the config is built."""
+    with pytest.raises(ConfigError, match="bad coeffs"):
+        ExperimentConfig("lp-lq", FiltrationSpec.tensor([2, 2]),
+                         coeffs=CoefficientSequence((0.5, 0.25), "user"))
 
 
 def test_coefficient_array_runs_as_its_tuple():
