@@ -55,9 +55,6 @@ class CoefficientSequence:
     def __len__(self):
         return len(self.values)
 
-    def powered(self, exponent):
-        return [v**exponent for v in self.values]
-
     def to_json(self):
         out = {"values": list(self.values), "provenance": self.provenance}
         if self.certificates:
@@ -218,19 +215,24 @@ def fractional_integral(m: MartingaleSequence, alpha, coeffs: CoefficientSequenc
     """Martingale transform with coefficients ``zeta_k^alpha``."""
     if not 0 < alpha < 1:
         raise ValueError("fractional order must lie in (0, 1); see iterated_transform")
-    return m.scaled(coeffs.powered(alpha))
+    return iterated_transform(m, alpha, coeffs)
 
 
 def iterated_transform(m: MartingaleSequence, gamma, coeffs: CoefficientSequence):
-    """Transform of arbitrary positive order ``gamma``.
+    """Transform of arbitrary positive order ``gamma``, ``dx_k -> zeta_k^gamma dx_k``:
+    the one body of every fractional transform.
 
     Coincides with the fractional integral for ``gamma < 1`` and with the
     ``(floor(gamma) + 1)``-fold composition at order ``gamma / (floor(gamma)
     + 1)`` in general.
     """
-    if gamma <= 0:
-        raise ValueError("order must be positive")
-    return m.scaled(coeffs.powered(gamma))
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"order must be finite and positive, got {gamma!r}")
+    d, n = m.differences, len(m)
+    if len(coeffs) < n:
+        raise TowerError("coefficient sequence shorter than martingale")
+    factors = np.array([v**gamma for v in coeffs.values[:n]]).reshape((n,) + (1,) * (d.ndim - 1))
+    return MartingaleSequence(m.tower, factors * d)
 
 
 def embedding_constants_check(tower: Tower, k, coeffs, samples=200, seed=0):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import time
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
@@ -117,9 +118,15 @@ def _filtration_spec(value):
 
 
 def _coefficient_source(value):
-    if isinstance(value, str) and value not in ("auto", "optimize"):
-        raise ValueError(f'expected "auto", "optimize" or numbers, got {value!r}')
+    if isinstance(value, str) and value != "auto":
+        raise ValueError(f'expected "auto" or numbers, got {value!r}')
     return value if isinstance(value, str) else CoefficientSequence(value, "user").values
+
+
+def _profile(value):
+    if not re.fullmatch("gaussian|positive_l1|single:[1-9][0-9]*", value):
+        raise ValueError(f"expected gaussian, positive_l1 or single:k with k >= 1, got {value!r}")
+    return value
 
 
 # Each ExperimentConfig field: (read, write to JSON).
@@ -133,7 +140,7 @@ _CONFIG_FIELDS = {
                  lambda v: [list(pq) for pq in v]),
     "levels": (lambda v: tuple(_integer(k, "each level", 1) for k in v), list),
     "extremal_n_max": (lambda v: _integer(v, "extremal_n_max", 1), int),
-    "profile": (str, str),
+    "profile": (_profile, str),
     "coeffs": (_coefficient_source, lambda v: v if isinstance(v, str) else list(v)),
 }
 
@@ -311,10 +318,9 @@ def _dense_extremal(tower):
 # experiment runner
 
 
-def _resolve_coeffs(tower, coeffs_cfg) -> CoefficientSequence:
+def _resolve_coeffs(tower, source) -> CoefficientSequence:
     """The coefficient sequence of a run: one coefficient per tower level."""
-    coeffs = (zeta_sequence(tower, coeffs_cfg) if coeffs_cfg in ("auto", "optimize")
-              else CoefficientSequence(coeffs_cfg, "user"))
+    coeffs = zeta_sequence(tower) if source == "auto" else CoefficientSequence(source, "user")
     if len(coeffs) < tower.n_levels:
         raise ConfigError(f"{len(coeffs)} coefficients for a tower of {tower.n_levels} levels")
     return coeffs

@@ -100,14 +100,6 @@ class MartingaleSequence:
         d = self.differences.conj()
         return MartingaleSequence(self.tower, d if d.ndim == 2 else d.swapaxes(1, 2))
 
-    def scaled(self, factors) -> "MartingaleSequence":
-        d = self.differences
-        factors = np.asarray(list(factors))
-        if factors.size < len(d):
-            raise TowerError("coefficient sequence shorter than martingale")
-        shape = (len(d),) + (1,) * (d.ndim - 1)
-        return MartingaleSequence(self.tower, factors[: len(d)].reshape(shape) * d)
-
 
 def adapt(tower: Tower, x) -> MartingaleSequence:
     """Canonical martingale of ``x``: differences ``E_k(x) - E_{k-1}(x)``, ``k = 1..n_levels``."""

@@ -202,6 +202,9 @@ BAD_FIELDS = [
     ("coeffs", CoefficientSequence((0.5, 0.25), "user"),
      CoefficientSequence((0.5, 0.25), "user").to_json()),
     ("tower", {"kind": "tensor", "dims": [2.5, 2]}, {"kind": "tensor", "dims": [2.5, 2]}),
+    ("coeffs", "optimize", "optimize"),  # the optimizer is a cross-check, not a run's source
+    ("profile", "single:x", "single:x"), ("profile", "single:0", "single:0"),
+    ("profile", "bogus", "bogus"),
 ]
 
 
@@ -255,7 +258,7 @@ def test_seeds_do_not_alias_modulo_two_to_the_32(capsys):
         assert main(["verify", "--experiment", "lp-lq", "--tower", "tensor:2,2",
                      "--seed", str(seed), "--trials", "1"]) == 0
         maxima.append(json.loads(capsys.readouterr().out)["summary"]["grid_0"]["max"])
-    assert maxima[0] == 0.7503349035226795
+    assert math.isclose(maxima[0], 0.7503349035226795, rel_tol=1e-9)
     assert maxima[1] != maxima[0]
 
 

@@ -33,7 +33,6 @@ def test_coefficient_validation():
     with pytest.raises(ValueError):
         CoefficientSequence((1.5,), "user")
     c = CoefficientSequence((0.5, 0.25), "user")
-    assert c.powered(0.5) == [math.sqrt(0.5), 0.5]
     assert len(c) == 2
     assert c.to_json() == {"values": [0.5, 0.25], "provenance": "user"}
 
@@ -362,6 +361,29 @@ def test_fractional_integral_order_range(tensor22, rng):
             fractional_integral(m, bad, coeffs)
     with pytest.raises(ValueError):
         iterated_transform(m, 0.0, coeffs)
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, 0.0, -1.0])
+def test_iterated_transform_needs_a_finite_positive_order(tensor22, rng, gamma):
+    """A NaN order used to return NaN differences, and an infinite one zeros."""
+    m = mg.adapt(tensor22, _random_dense(rng, 4))
+    with pytest.raises(ValueError, match="finite and positive"):
+        iterated_transform(m, gamma, zeta_sequence(tensor22))
+
+
+@pytest.mark.parametrize("spec", ["tensor:2,2,2", "abelian:3"])
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+def test_fractional_integral_is_zeta_power_times_each_difference(rng, spec, alpha):
+    """``I^alpha`` multiplies ``dx_k`` by the float ``zeta_k ** alpha``, bit for
+    bit, on dense and diagonal stacks."""
+    t = build_tower(FiltrationSpec.parse(spec))
+    coeffs = zeta_sequence(t)
+    x = _random_dense(rng, 8) if spec.startswith("tensor") else rng.standard_normal(8) + 0j
+    m = mg.adapt(t, x)
+    out = fractional_integral(m, alpha, coeffs)
+    assert out.differences.shape == m.differences.shape
+    for z, dx, dy in zip(coeffs.values, m.differences, out.differences):
+        assert np.array_equal(dy, z**alpha * dx)
 
 
 def test_transform_linearity(tensor222, rng):

@@ -7,7 +7,7 @@ import pytest
 
 import ncmart.martingale as mg
 from ncmart.algebra import FiltrationSpec, TowerError, build_tower
-from ncmart.fractional import zeta_sequence
+from ncmart.fractional import CoefficientSequence, iterated_transform, zeta_sequence
 from ncmart.harness import ExperimentConfig, random_martingale, run_ratio_experiment, trial_rng
 from ncmart.spectral import (
     SingularValueFunction,
@@ -67,8 +67,8 @@ def test_sequence_validation(tensor22, rng):
     m = mg.adapt(tensor22, _random_dense(rng, 4))
     with pytest.raises(TowerError):
         m.partial_sum(5)
-    with pytest.raises(TowerError):
-        m.scaled([1.0])
+    with pytest.raises(TowerError, match="shorter than martingale"):
+        iterated_transform(m, 1.0, CoefficientSequence((1.0,), "user"))
 
 
 def test_mixed_diagonal_and_dense_differences_become_dense(tensor22):
@@ -91,7 +91,8 @@ def test_differences_are_one_stack(tensor222, abelian3, rng):
         adj = m.adjoint()
         for dx, dy in zip(m.differences, adj.differences):
             assert np.array_equal(dy, dx.conj() if dx.ndim == 1 else dx.conj().T)
-        scaled = m.scaled([0.5, 0.25, 0.125, 2.0])
+        # extra coefficients are ignored
+        scaled = iterated_transform(m, 1.0, CoefficientSequence((0.5, 0.25, 0.125, 1.0), "user"))
         for f, dx, dy in zip([0.5, 0.25, 0.125], m.differences, scaled.differences):
             assert np.array_equal(dy, f * dx)
 
