@@ -612,18 +612,13 @@ class Tower:
 
     # -- misc ---------------------------------------------------------------
 
-    def random_element(self, rng, difference=None):
-        """Standard complex-Gaussian element, projected onto ``D_difference`` if
-        given; ``conditional_expectation(n, ...)`` of it lies in level ``n``."""
+    def random_element(self, rng):
+        """Standard complex-Gaussian element, a real Gaussian diagonal on an abelian
+        tower; ``project_difference(k, ...)`` of it lies in ``D_k``."""
         if self.spec.kind == "abelian_dyadic":
-            g = rng.standard_normal(self.dim) + 0j
-        else:
-            g = rng.standard_normal((self.dim, self.dim)) + 1j * rng.standard_normal(
-                (self.dim, self.dim)
-            )
-        if difference is not None:
-            return self.project_difference(difference, g)
-        return g
+            return rng.standard_normal(self.dim) + 0j
+        d = self.dim
+        return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
 
     def _dense(self, x):
         return np.diag(x) if x.ndim == 1 else x
@@ -654,12 +649,8 @@ class Tower:
 
 
 # Equal specs share one tower and its cached bases; 32 covers a run's tower
-# plus the 24 towers of the extremal family at its default depth of 12.
+# plus the 18 towers of the extremal family at its default depth of 12.
 @lru_cache(maxsize=32)
-def _shared_tower(spec):
-    return Tower(spec)
-
-
 def build_tower(spec: FiltrationSpec) -> Tower:
     """The tower described by ``spec``.
 
@@ -667,4 +658,4 @@ def build_tower(spec: FiltrationSpec) -> Tower:
     equal when their spanning sets have the same shapes and entries and their
     weights agree, so a custom tower is built and validated once.
     """
-    return _shared_tower(spec)
+    return Tower(spec)

@@ -4,8 +4,8 @@ Subcommands: ``zeta`` (filtration constants by optimization, checked
 against the tower's closed form), ``verify`` (ratio and inequality
 experiments), ``example`` (extremal family), ``norms`` (norm evaluation of
 an operator file).  Exit code 0 on success, 1 when a check
-fails, 2 on bad input, 3 on a numerical failure (a decomposition that does
-not converge, or an arithmetic error).
+fails, 2 on bad input or when memory runs out, 3 on a numerical failure (a
+decomposition that does not converge, or an arithmetic error).
 """
 
 from __future__ import annotations
@@ -211,6 +211,9 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, OSError) as exc:  # ConfigError and TowerError too
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except MemoryError as exc:  # a run too large for this machine, not a failed check
+        sys.stderr.write(f"error: out of memory: {exc}\n")
         return 2
 
 

@@ -276,7 +276,7 @@ def centered_martingale(mart: mg.MartingaleSequence) -> mg.MartingaleSequence:
 
 
 # Depths up to log2 of this realize the noncommutative family as a dense
-# operator, so it exercises the dense expectations; deeper ones stay diagonal.
+# operator, so it exercises the dense expectations; deeper ones are diagonal.
 DENSE_EXTREMAL_LIMIT = 64
 
 
@@ -284,24 +284,23 @@ def extremal_example(n, kind="classical"):
     """The scaled-indicator extremal family on a dyadic tower of depth n.
 
     ``classical`` realizes it as a diagonal step function on the abelian
-    tower; ``noncommutative`` as a scaled rank-one diagonal projection in
-    the 2x2 tensor tower.  Both use transform coefficients ``2^-k``.  A
-    dense realization is adapted once per tower and shared, its differences
-    read-only; diagonal ones are block means, made afresh on every call.
+    tower, ``noncommutative`` as ``2^n e_11`` in the 2x2 tensor tower up to
+    ``DENSE_EXTREMAL_LIMIT`` and as the classical one beyond.  Both use
+    coefficients ``2^-k``.  Dense realizations are adapted once per tower and
+    shared, read-only; diagonal ones are block means, made afresh each call.
     """
     if n < 1:
         raise ConfigError("extremal example needs n >= 1")
     if kind not in ("classical", "noncommutative"):
         raise ConfigError(f"unknown extremal kind {kind!r}")
-    classical = kind == "classical"
-    tower = build_tower(FiltrationSpec.abelian_dyadic(n) if classical
-                        else FiltrationSpec.tensor((2,) * n))
     coeffs = CoefficientSequence(tuple(2.0**-k for k in range(1, n + 1)), "user")
-    if classical or tower.dim > DENSE_EXTREMAL_LIMIT:
-        f = np.zeros(tower.dim, dtype=complex)
-        f[0] = 2.0**n
-        return tower, mg.adapt(tower, f), coeffs
-    return tower, _dense_extremal(tower), coeffs
+    if kind == "noncommutative" and 2**n <= DENSE_EXTREMAL_LIMIT:
+        tower = build_tower(FiltrationSpec.tensor((2,) * n))
+        return tower, _dense_extremal(tower), coeffs
+    tower = build_tower(FiltrationSpec.abelian_dyadic(n))
+    f = np.zeros(tower.dim, dtype=complex)
+    f[0] = 2.0**n
+    return tower, mg.adapt(tower, f), coeffs
 
 
 @lru_cache(maxsize=DENSE_EXTREMAL_LIMIT.bit_length() - 1)  # one per dense depth
@@ -418,12 +417,16 @@ class Experiment:
             points[g.field] = resolved(tower) if callable(resolved) else resolved
             if not all(g.valid(p, tower) for p in points[g.field]):
                 raise ConfigError(g.message)
+        profile = cfg.profile if self.profile == "config" else self.profile
+        if (self.profile == "config" and profile.startswith("single:")
+                and int(profile[len("single:"):]) > tower.n_levels):
+            raise ConfigError(f"bad profile: {profile} is deeper than the tower's "
+                              f"{tower.n_levels} levels")
         run = Run(cfg, tower, _resolve_coeffs(tower, cfg.coeffs), points)
         grid = points[self.grids[0].field] if self.grids else ((),)
         tasks = [(gi, p, ti, self.trial) for gi, p in enumerate(grid) for ti in range(cfg.trials)]
         tasks += [(stream, (), ti, trial) for stream, count, trial in self.companions
                   for ti in range(count(cfg.trials))]
-        profile = cfg.profile if self.profile == "config" else self.profile
 
         def rngs(chunk):
             return [trial_rng(cfg.seed, stream, ti) for stream, _, ti, _ in chunk]

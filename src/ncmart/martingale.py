@@ -61,9 +61,9 @@ class MartingaleSequence:
 
     ``differences`` is one C-contiguous complex array over the level axis:
     ``(n, d, d)``, or ``(n, d)`` when every difference is diagonal.  The
-    constructor takes any sequence of operators and stacks it; a stack of
-    that form is kept without a copy.  If diagonal and dense differences are
-    mixed, all are made dense.
+    constructor stacks any sequence of operators and checks its first row,
+    whose shape all rows share; a stack of that form is kept without a copy.
+    If diagonal and dense differences are mixed, all are made dense.
     """
 
     tower: Tower
@@ -75,13 +75,13 @@ class MartingaleSequence:
             diffs = np.ascontiguousarray(self.differences, dtype=complex)
         except ValueError:  # diagonal and dense differences mixed
             diffs = np.stack([tower._dense(tower._check(d)) for d in self.differences])
-        rows = [tower._check(d) for d in diffs]
-        if not rows:
+        first = next(iter(diffs), None)
+        if first is None:
             raise TowerError("a martingale needs at least one difference")
-        if len(rows) > tower.n_levels:
+        if len(diffs) > tower.n_levels:
             raise TowerError("more differences than tower levels")
-        if rows[0].ndim != diffs.ndim - 1:  # a custom tower made diagonal rows dense
-            diffs = np.stack(rows)
+        if tower._check(first).ndim != diffs.ndim - 1:  # a custom tower makes diagonal rows dense
+            diffs = np.stack([tower._dense(d) for d in diffs])
         object.__setattr__(self, "differences", diffs)
 
     def __len__(self):
@@ -437,13 +437,15 @@ def make_atom(tower: Tower, rng, n, e, deep_level, p):
 
     Draws ``v`` in ``D_m`` for ``m = deep_level > n``, supports it on ``e``
     and normalizes to equality in the L2 size condition.  The adjoint of the
-    result is a row atom on the same ``e``.
+    result is a row atom on the same ``e``.  Since ``E_k(v e) = E_k(v) e``
+    for ``k >= n``, the atom stays in ``D_m``, so its ``atom_constant`` is
+    exactly ``(zeta_m / tau(e))^gamma`` with ``gamma = 1/p - 1/q``.
     """
     if deep_level <= n:
         raise TowerError("atom generator needs deep_level > n")
     e = _check_projection_in_level(tower, n, e)
     for _ in range(8):
-        v = tower._dense(tower.random_element(rng, difference=deep_level))
+        v = tower._dense(tower.project_difference(deep_level, tower.random_element(rng)))
         a = v @ e
         nrm = tower.norm2(a)
         if nrm > 1e-12:

@@ -593,7 +593,7 @@ def test_random_element_deterministic(tensor222):
 
 def test_random_element_in_difference(tensor222):
     rng = np.random.default_rng(9)
-    x = tensor222.random_element(rng, difference=2)
+    x = tensor222.project_difference(2, tensor222.random_element(rng))
     assert tensor222.norm2(tensor222.project_difference(2, x) - x) < 1e-10
 
 

@@ -230,6 +230,23 @@ def test_every_entry_path_rejects_the_same_input(tmp_path, verify_configs, capsy
     assert not verify_configs
 
 
+def test_verify_single_profile_deeper_than_the_tower(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "weak-type", "tower": {"kind": "tensor", "dims": [2, 2]},
+                               "profile": "single:5", "trials": 1}))
+    assert main(["verify", "--experiment", "weak-type", "--config", str(cfg), "--seed", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: bad profile: single:5")
+
+
+def test_out_of_memory_is_not_a_failed_check(capsys, monkeypatch):
+    def exhausted(cfg, threads=1):
+        raise MemoryError("Unable to allocate 32.0 GiB")
+
+    monkeypatch.setattr(cli, "run_ratio_experiment", exhausted)
+    assert main(["verify", "--experiment", "weak-type", "--tower", "tensor:2,2", "--seed", "1"]) == 2
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 32.0 GiB\n"
+
+
 def test_config_tower_must_be_a_spec():
     """The constructor takes a ``FiltrationSpec``, not its JSON form."""
     with pytest.raises(ConfigError, match="tower: expected a FiltrationSpec"):

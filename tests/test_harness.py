@@ -14,7 +14,7 @@ import ncmart.harness as harness
 import ncmart.martingale as mg
 import ncmart.spectral as spectral
 from ncmart.algebra import FiltrationSpec, Tower, build_tower
-from ncmart.fractional import CoefficientSequence
+from ncmart.fractional import CoefficientSequence, zeta_sequence
 from ncmart.harness import (
     ConfigError,
     ExperimentConfig,
@@ -383,6 +383,15 @@ def test_extremal_example_shares_towers():
     assert extremal_example(3)[0] is build_tower(FiltrationSpec.parse("abelian:3"))
 
 
+@pytest.mark.parametrize("n", [7, 9])
+def test_deep_noncommutative_family_is_the_classical_one(n):
+    """Beyond the dense limit both kinds are the diagonal realization on ``abelian:n``."""
+    tower, m, coeffs = extremal_example(n, "noncommutative")
+    classical, mc, cc = extremal_example(n)
+    assert tower is classical is build_tower(FiltrationSpec.abelian_dyadic(n))
+    assert np.array_equal(m.differences, mc.differences) and coeffs == cc
+
+
 def test_dense_extremal_realizations_are_built_once():
     for n in range(1, 7):
         tower, m, _ = extremal_example(n, "noncommutative")
@@ -503,6 +512,26 @@ def test_ratio_records_have_repro_seeds():
     r = run_ratio_experiment(_cfg("weak-type", trials=4, extremal_n_max=2))
     rec = r.trials[0]
     assert {"grid", "trial", "numerator", "denominator", "ratio"} <= set(rec)
+
+
+@pytest.mark.parametrize("spec", ["tensor:2,2", "abelian:3", "tensor:2,3,2", "abelian:6",
+                                  "tensor:3,3"])
+def test_atom_map_measures_its_closed_form(spec):
+    """A drawn atom lies in ``D_deep``, so its constant is ``(zeta_deep / tau(e))^gamma``
+    exactly, with ``gamma = 1/p - 1/q`` and the run's coefficients."""
+    r = run_ratio_experiment(_cfg("atom-map", trials=20, tower=FiltrationSpec.parse(spec).to_json()))
+    zeta = zeta_sequence(build_tower(FiltrationSpec.parse(spec))).values
+    assert len(r.trials) == 60
+    for rec in r.trials:
+        gamma = 1.0 / rec["p"] - 1.0 / rec["q"]
+        want = (zeta[rec["deep"] - 1] / rec["trace_e"]) ** gamma
+        assert rec["constant"] == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_single_profile_deeper_than_the_tower_is_a_config_error():
+    with pytest.raises(ConfigError, match="bad profile: single:4 is deeper than the tower's 3"):
+        run_ratio_experiment(_cfg("weak-type", trials=1, profile="single:4"))
+    assert run_ratio_experiment(_cfg("weak-type", trials=1, extremal_n_max=1, profile="single:3"))
 
 
 def test_atom_map_reports_ranks():

@@ -102,6 +102,40 @@ def test_empty_martingale_is_rejected(tensor22):
         mg.MartingaleSequence(tensor22, ())
 
 
+@pytest.mark.parametrize("tower_name, diagonal", [
+    ("tensor222", False), ("tensor222", True), ("abelian3", True), ("custom4", False),
+    ("custom4", True),
+])
+def test_a_stack_is_checked_once(request, monkeypatch, tower_name, diagonal):
+    """One ``Tower._check`` call fixes the form of every row of a stack; a
+    custom tower's diagonal rows are then made dense without another check."""
+    t = request.getfixturevalue(tower_name)
+    rng = np.random.default_rng(3)
+    shape = (t.n_levels, t.dim) if diagonal else (t.n_levels, t.dim, t.dim)
+    diffs = rng.standard_normal(shape) + 0j
+    calls = []
+    check = type(t)._check
+    monkeypatch.setattr(type(t), "_check", lambda self, x: calls.append(1) or check(self, x))
+    m = mg.MartingaleSequence(t, diffs)
+    assert len(calls) == 1
+    dense = diagonal and t.spec.kind == "custom"
+    assert m.differences.ndim == (3 if dense else diffs.ndim)
+    assert np.array_equal(m.final, np.diag(diffs.sum(axis=0)) if dense else diffs.sum(axis=0))
+    if not dense:
+        assert m.differences is diffs
+
+
+def test_stack_faults_keep_their_errors(tensor22):
+    with pytest.raises(TowerError, match="more differences than tower levels"):
+        mg.MartingaleSequence(tensor22, np.zeros((3, 4, 4), dtype=complex))
+    with pytest.raises(TowerError, match=r"operator shape \(3, 3\) does not match tower dim 4"):
+        mg.MartingaleSequence(tensor22, np.zeros((2, 3, 3), dtype=complex))
+    with pytest.raises(TowerError, match="diagonal operator has dim 3, tower dim 4"):
+        mg.MartingaleSequence(tensor22, np.zeros((2, 3), dtype=complex))
+    with pytest.raises(TowerError, match=r"operator shape \(\) does not match"):
+        mg.MartingaleSequence(tensor22, (1.0, 2.0))
+
+
 def test_l2_isometry(any_tower, rng):
     """Orthogonality of differences: ||E_n x||_2^2 = sum ||dx_k||_2^2."""
     t = any_tower
@@ -422,7 +456,7 @@ def test_bmo_single_difference_identity(any_tower, rng):
     """Paper identity: a single-difference martingale has BMO norm ||a||_inf."""
     t = any_tower
     for k in range(1, t.n_levels + 1):
-        a = t._dense(t.random_element(rng, difference=k))
+        a = t._dense(t.project_difference(k, t.random_element(rng)))
         diffs = [np.zeros((t.dim, t.dim), dtype=complex) for _ in range(t.n_levels)]
         diffs[k - 1] = a
         m = mg.MartingaleSequence(t, tuple(diffs))
