@@ -11,14 +11,13 @@ from .algebra import (
 )
 from .fractional import (
     CoefficientSequence,
-    embedding_constants_check,
     fractional_integral,
     iterated_transform,
-    selfadjointness_check,
     zeta_optimize,
     zeta_sequence,
 )
 from .harness import (
+    EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
     Report,
@@ -40,6 +39,7 @@ from .martingale import (
     hardy_mixed_max,
     hardy_mixed_upper,
     hardy_row_norm,
+    level_differences,
     lipschitz_column_lower,
     make_atom,
     validate_atom,
@@ -62,16 +62,15 @@ __all__ = [
     "SingularValueFunction", "singular_value_function", "lp_norm",
     "lorentz_norm", "weak_norm", "distribution",
     "operator_norm",
-    "MartingaleSequence", "adapt", "column_square_function",
+    "MartingaleSequence", "adapt", "level_differences", "column_square_function",
     "hardy_column_norm", "hardy_row_norm",
     "hardy_mixed_max", "hardy_mixed_upper", "bmo_column_norm",
     "bmo_norm", "lipschitz_column_lower", "AtomCertificate", "validate_atom",
     "make_atom", "atom_constant",
     "CoefficientSequence", "zeta_optimize", "zeta_sequence",
-    "fractional_integral", "iterated_transform", "embedding_constants_check",
-    "selfadjointness_check",
+    "fractional_integral", "iterated_transform",
     "ExperimentConfig", "Report", "ConfigError", "random_martingale",
     "centered_martingale", "extremal_example", "run_ratio_experiment",
-    "emit_report",
+    "emit_report", "EXPERIMENTS",
     "__version__",
 ]

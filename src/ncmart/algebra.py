@@ -36,6 +36,7 @@ __all__ = [
     "FiltrationSpec",
     "Tower",
     "build_tower",
+    "gram_schmidt",
     "operator_to_json",
     "operator_from_json",
 ]

@@ -17,16 +17,14 @@ import numpy as np
 
 from .algebra import Tower, TowerError, _integer
 from .martingale import MartingaleSequence
-from .spectral import _svd, lp_norm, singular_value_function
+from .spectral import _svd
 
 __all__ = [
     "CoefficientSequence",
     "zeta_optimize",
     "zeta_sequence",
-    "embedding_constants_check",
     "fractional_integral",
     "iterated_transform",
-    "selfadjointness_check",
 ]
 
 # Full alternating maximization runs only from the most promising basis
@@ -233,52 +231,3 @@ def iterated_transform(m: MartingaleSequence, gamma, coeffs: CoefficientSequence
         raise TowerError("coefficient sequence shorter than martingale")
     factors = np.array([v**gamma for v in coeffs.values[:n]]).reshape((n,) + (1,) * (d.ndim - 1))
     return MartingaleSequence(m.tower, factors * d)
-
-
-def embedding_constants_check(tower: Tower, k, coeffs, samples=200, seed=0):
-    """Sample ``D_k`` and check both norm-gap inequalities; report ratios."""
-    zeta = coeffs.values[k - 1]
-    rng = np.random.default_rng(seed)
-    max_inf_over_2 = 0.0
-    max_2_over_1 = 0.0
-    violations = 0
-    for _ in range(samples):
-        x = tower.project_difference(k, tower.random_element(rng))
-        s = singular_value_function(tower, x)
-        n1, n2, ninf = lp_norm(s, [1, 2, math.inf]).tolist()
-        if n2 < 1e-13:
-            continue
-        max_inf_over_2 = max(max_inf_over_2, ninf / n2)
-        max_2_over_1 = max(max_2_over_1, n2 / n1)
-        if ninf > zeta**-0.5 * n2 + 1e-9:
-            violations += 1
-        if n2 > 2 * zeta**-0.5 * n1 + 1e-9:
-            violations += 1
-    return {
-        "level": k,
-        "zeta": zeta,
-        "samples": samples,
-        "max_uniform_over_l2": max_inf_over_2,
-        "uniform_over_l2_bound": zeta**-0.5,
-        "max_l2_over_l1": max_2_over_1,
-        "l2_over_l1_bound": 2 * zeta**-0.5,
-        "violations": violations,
-    }
-
-
-def selfadjointness_check(m1: MartingaleSequence, m2: MartingaleSequence, alpha, coeffs):
-    """Check the transform is formally self-adjoint for the trace pairing."""
-    if m1.tower is not m2.tower or len(m1) != len(m2):
-        raise TowerError("self-adjointness check needs a matched pair")
-    tower = m1.tower
-    tx = iterated_transform(m1, alpha, coeffs).final
-    ty = iterated_transform(m2, alpha, coeffs).final
-    lhs = tower.inner(tx, m2.final)
-    rhs = tower.inner(m1.final, ty)
-    scale = max(abs(lhs), abs(rhs), 1.0)
-    return {
-        "lhs": [lhs.real, lhs.imag],
-        "rhs": [rhs.real, rhs.imag],
-        "abs_error": abs(lhs - rhs),
-        "ok": abs(lhs - rhs) <= 1e-10 * scale,
-    }

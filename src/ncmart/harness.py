@@ -13,6 +13,7 @@ reproduction seed); theorem-level bounds only report their empirical constants.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import re
@@ -26,14 +27,7 @@ import numpy as np
 
 from . import martingale as mg
 from .algebra import FiltrationSpec, Tower, TowerError, _integer, build_tower
-from .fractional import (
-    CoefficientSequence,
-    embedding_constants_check,
-    fractional_integral,
-    iterated_transform,
-    selfadjointness_check,
-    zeta_sequence,
-)
+from .fractional import CoefficientSequence, fractional_integral, iterated_transform, zeta_sequence
 from .spectral import (
     distribution,
     lorentz_norm,
@@ -168,28 +162,27 @@ class Report:
 
 
 def emit_report(report: Report, fmt="json", path=None):
-    """Write a report as JSON (full) or CSV (flattened grid summaries)."""
+    """A report as JSON (full) or CSV (flattened grid summaries, ``\\r\\n`` line
+    endings): the text when ``path`` is None, else written to ``path``."""
     if fmt == "json":
         text = json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
-        if path is None:
-            return text
-        with open(path, "w") as fh:
-            fh.write(text)
-        return None
-    if fmt == "csv":
-        rows = []
-        for key, stats in sorted(report.summary.items()):
-            if not isinstance(stats, dict):
-                continue
-            rows.append({"experiment": report.experiment, "grid": key,
-                         **{k: v for k, v in stats.items() if np.isscalar(v)}})
+    elif fmt == "csv":
+        rows = [{"experiment": report.experiment, "grid": key,
+                 **{k: v for k, v in stats.items() if np.isscalar(v)}}
+                for key, stats in sorted(report.summary.items()) if isinstance(stats, dict)]
         fieldnames = sorted({k for r in rows for k in r}, key=lambda s: (s != "experiment", s))
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fieldnames)
-            writer.writeheader()
-            writer.writerows(rows)
-        return None
-    raise ConfigError(f"unknown report format {fmt!r}")
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=fieldnames)
+        writer.writeheader()
+        writer.writerows(rows)
+        text = buf.getvalue()
+    else:
+        raise ConfigError(f"unknown report format {fmt!r}")
+    if path is None:
+        return text
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -548,26 +541,57 @@ def _h1_column_ratio(point, x, src, coeffs):
     return mg.bmo_column_norm(iterated_transform(src, 1.0, coeffs)), mg.hardy_column_norm(x, 1.0)
 
 
+def _difference_norms(tower, k, rng, exponents):
+    """``lp_norm`` at each of ``exponents`` of ``project_difference(k, random_element(rng))``."""
+    x = tower.project_difference(k, tower.random_element(rng))
+    return lp_norm(singular_value_function(tower, x), exponents).tolist()
+
+
+def _embedding_slacks(zeta, n1, n2, ninf, alpha_norms=(), p_norms=()):
+    """Slacks of the embedding inequalities on ``x`` in ``D_k``, ``zeta = zeta_k``:
+    ``embed_inf2``, ``||x||_inf <= zeta^-1/2 ||x||_2``; ``embed_21``, ``||x||_2 <=
+    2 zeta^-1/2 ||x||_1``; given pairs ``(alpha, ||x||_{1/(1-alpha)})``, the worst
+    ``basic_i``, ``zeta^alpha ||x||_{1/(1-alpha)} <= 2^alpha ||x||_1``; and given pairs
+    ``(p, ||x||_p)``, the worst ``basic_ii``, ``zeta^{1/p-1/2} ||x||_2 <= ||x||_p``."""
+    slacks = {"embed_inf2": zeta**-0.5 * n2 - ninf, "embed_21": 2 * zeta**-0.5 * n1 - n2}
+    if alpha_norms:
+        slacks["basic_i"] = min(2.0**a * n1 - zeta**a * n for a, n in alpha_norms)
+    if p_norms:
+        slacks["basic_ii"] = min(n - zeta ** (1.0 / p - 0.5) * n2 for p, n in p_norms)
+    return slacks
+
+
 def _embedding_trial(run, k, rng):
-    tower, zeta = run.tower, run.coeffs.values[k - 1]
-    s = singular_value_function(tower, tower.project_difference(k, tower.random_element(rng)))
     alphas, ps = run.points["alphas"], (1.1, 1.25, 1.5, 1.75)
-    n1, n2, *norms = lp_norm(s, [1.0, 2.0, *(1.0 / (1.0 - a) for a in alphas), *ps]).tolist()
-    ninf = s.values[0]
+    n1, n2, ninf, *norms = _difference_norms(
+        run.tower, k, rng, [1.0, 2.0, math.inf, *(1.0 / (1.0 - a) for a in alphas), *ps])
     if n2 < 1e-13:
         return Outcome({})
-    worst = {
-        "basic_i": min(2.0**a * n1 - zeta**a * n for a, n in zip(alphas, norms)),
-        "basic_ii": min(n - zeta ** (1.0 / p - 0.5) * n2
-                        for p, n in zip(ps, norms[len(alphas):])),
-        "embed_inf2": zeta**-0.5 * n2 - ninf,
-        "embed_21": 2 * zeta**-0.5 * n1 - n2,
-    }
+    worst = _embedding_slacks(run.coeffs.values[k - 1], n1, n2, ninf,
+                              list(zip(alphas, norms)), list(zip(ps, norms[len(alphas):])))
     return Outcome(worst, [(name, {"level": k}, v) for name, v in worst.items() if v < -HARD_SLACK])
 
 
+def _embedding_level(tower, k, zeta, samples, seed):
+    """The ratios of both embedding inequalities on ``D_k``, largest over ``samples``
+    draws from ``default_rng(seed)``, and the count of slacks below ``-HARD_SLACK``."""
+    rng = np.random.default_rng(seed)
+    max_inf_over_2, max_2_over_1, violations = 0.0, 0.0, 0
+    for _ in range(samples):
+        n1, n2, ninf = _difference_norms(tower, k, rng, [1.0, 2.0, math.inf])
+        if n2 < 1e-13:
+            continue
+        max_inf_over_2 = max(max_inf_over_2, ninf / n2)
+        max_2_over_1 = max(max_2_over_1, n2 / n1)
+        violations += sum(v < -HARD_SLACK for v in _embedding_slacks(zeta, n1, n2, ninf).values())
+    return {"level": k, "zeta": zeta, "samples": samples, "violations": violations,
+            "max_uniform_over_l2": max_inf_over_2, "uniform_over_l2_bound": zeta**-0.5,
+            "max_l2_over_l1": max_2_over_1, "l2_over_l1_bound": 2 * zeta**-0.5}
+
+
 def _pair_trial(run, point, rng):
-    """Quasi-triangle distribution inequality and self-adjointness on a pair."""
+    """Quasi-triangle distribution inequality and self-adjointness on a pair:
+    ``inner(I m1, m2) = inner(m1, I m2)`` for the transform ``I`` of order 1/2."""
     tower = run.tower
     x1, x2 = tower.random_element(rng), tower.random_element(rng)
     s12, s1, s2 = (singular_value_function(tower, x) for x in (x1 + x2, x1, x2))
@@ -576,21 +600,22 @@ def _pair_trial(run, point, rng):
               - lams * distribution(s12, lams))
     failures = [("quasi_triangle", {"lambda": float(lams[i])}, float(slacks[i]))
                 for i in np.flatnonzero(slacks < -HARD_SLACK)]
-    pair = random_martingale(tower, "gaussian", [rng, rng])
-    res = selfadjointness_check(*pair, 0.5, run.coeffs)
-    if not res["ok"]:
-        failures.append(("selfadjoint", {}, res["abs_error"]))
-    worst = {"quasi_triangle": float(np.min(slacks)), "selfadjoint": res["abs_error"]}
-    return Outcome(worst, failures)
+    m1, m2 = random_martingale(tower, "gaussian", [rng, rng])
+    lhs = tower.inner(iterated_transform(m1, 0.5, run.coeffs).final, m2.final)
+    rhs = tower.inner(m1.final, iterated_transform(m2, 0.5, run.coeffs).final)
+    error = abs(lhs - rhs)
+    if not error <= 1e-10 * max(abs(lhs), abs(rhs), 1.0):
+        failures.append(("selfadjoint", {}, error))
+    return Outcome({"quasi_triangle": float(np.min(slacks)), "selfadjoint": error}, failures)
 
 
 def _embedding_summary(run, report, values):
     worst = {name: min(values.get(name, ()), default=None)
              for name in ("basic_i", "basic_ii", "embed_inf2", "embed_21", "quasi_triangle")}
     worst["selfadjoint"] = max([0.0, *values["selfadjoint"]])
+    samples, seed = min(run.cfg.trials, 200), run.cfg.seed
     return {"worst_slacks": worst, **{
-        f"level_{k}": embedding_constants_check(run.tower, k, run.coeffs, seed=run.cfg.seed,
-                                                samples=min(run.cfg.trials, 200))
+        f"level_{k}": _embedding_level(run.tower, k, run.coeffs.values[k - 1], samples, seed)
         for k in run.points["levels"]}}
 
 
@@ -609,10 +634,11 @@ def _singular_value_trial(run, alpha, rng):
         worst_mu = min(worst_mu, rhs - lhs)
         if lhs > rhs + HARD_SLACK:
             failures.append(("singular_value_lemma", {"alpha": alpha, "t": float(t)}, lhs - rhs))
-    lhs = mg.hardy_column_norm(y1, 1.0 / (1.0 - alpha))
+    # the Hardy column norms are the Lp norms of these square functions
+    lhs = lp_norm(s_1, 1.0 / (1.0 - alpha))
     rhs = (2.0 ** (1.0 - alpha)
-           * math.sqrt(mg.hardy_column_norm(y2, 1.0 / (1.0 - 2 * alpha)))
-           * math.sqrt(mg.hardy_column_norm(a, 1.0)))
+           * math.sqrt(lp_norm(s_2, 1.0 / (1.0 - 2 * alpha)))
+           * math.sqrt(lp_norm(s_a, 1.0)))
     if lhs > rhs + HARD_SLACK:
         failures.append(("double_order_hardy_lemma", {"alpha": alpha}, lhs - rhs))
     return Outcome({"singular_value": worst_mu, "double_order_hardy": rhs - lhs}, failures)
@@ -688,11 +714,11 @@ def _example(cfg, threads=1):
 def _example_norms(tower, mart, coeffs):
     s = singular_value_function(tower, mart.final)
     centered = centered_martingale(mart)
-    half_l2, l1 = _lp_lq_ratio((1.0, 2.0), mart, centered, coeffs)
+    half = fractional_integral(centered, 0.5, coeffs).final
     quarter = fractional_integral(centered, 0.25, coeffs).final
     epss = (0.25, 0.5)
-    lr = lp_norm(s, [(4.0 - eps) / 3.0 for eps in epss]).tolist()
-    return {"l1": l1, "half_l2": half_l2,
+    l1, *lr = lp_norm(s, [1.0, *((4.0 - eps) / 3.0 for eps in epss)]).tolist()
+    return {"l1": l1, "half_l2": lp_norm(singular_value_function(tower, half), 2.0),
             "quarter_l2_sq": lp_norm(singular_value_function(tower, quarter), 2.0) ** 2,
             **{f"lr_eps{eps:g}": n for eps, n in zip(epss, lr)}}
 

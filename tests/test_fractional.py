@@ -8,13 +8,12 @@ import ncmart.martingale as mg
 from ncmart.algebra import FiltrationSpec, Tower, TowerError, build_tower
 from ncmart.fractional import (
     CoefficientSequence,
-    embedding_constants_check,
     fractional_integral,
     iterated_transform,
-    selfadjointness_check,
     zeta_optimize,
     zeta_sequence,
 )
+from ncmart.harness import _embedding_level, _embedding_slacks
 from ncmart.spectral import lp_norm, singular_value_function
 from conftest import peak_allocation
 
@@ -427,16 +426,15 @@ def test_transform_l2_contraction(tensor222, rng):
 
 
 def test_selfadjointness(tensor222, rng):
+    """The transform is self-adjoint in the trace pairing: ``<I m1, m2> = <m1, I m2>``."""
     t = tensor222
     coeffs = zeta_sequence(t)
     for _ in range(20):
         m1 = mg.adapt(t, _random_dense(rng, 8))
         m2 = mg.adapt(t, _random_dense(rng, 8))
-        res = selfadjointness_check(m1, m2, 0.5, coeffs)
-        assert res["ok"], res
-    other = build_tower(FiltrationSpec.tensor([2, 2]))
-    with pytest.raises(TowerError):
-        selfadjointness_check(m1, mg.adapt(other, np.eye(4, dtype=complex)), 0.5, coeffs)
+        lhs = t.inner(iterated_transform(m1, 0.5, coeffs).final, m2.final)
+        rhs = t.inner(m1.final, iterated_transform(m2, 0.5, coeffs).final)
+        assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +445,7 @@ def test_embedding_constants_no_violations(tensor222, abelian3):
     for tower in (tensor222, abelian3):
         coeffs = zeta_sequence(tower)
         for k in range(1, tower.n_levels + 1):
-            rep = embedding_constants_check(tower, k, coeffs, samples=300, seed=11)
+            rep = _embedding_level(tower, k, coeffs.values[k - 1], 300, 11)
             assert rep["violations"] == 0
             assert rep["max_uniform_over_l2"] <= rep["uniform_over_l2_bound"] + 1e-9
             assert rep["max_l2_over_l1"] <= rep["l2_over_l1_bound"] + 1e-9
@@ -456,7 +454,7 @@ def test_embedding_constants_no_violations(tensor222, abelian3):
 def test_embedding_bound_attained_at_level_one(tensor22):
     """Dyadic k=1: the uniform/L2 ratio reaches 2^{1/2} on matrix units."""
     coeffs = zeta_sequence(tensor22)
-    rep = embedding_constants_check(tensor22, 1, coeffs, samples=1000, seed=1)
+    rep = _embedding_level(tensor22, 1, coeffs.values[0], 1000, 1)
     assert rep["uniform_over_l2_bound"] == pytest.approx(math.sqrt(2.0))
     assert rep["max_uniform_over_l2"] <= math.sqrt(2.0) + 1e-9
     # the extremal ratio is witnessed by a scaled matrix unit in D_1
@@ -465,6 +463,41 @@ def test_embedding_bound_attained_at_level_one(tensor22):
     x = tensor22.project_difference(1, e12)
     ratio = lp_norm(singular_value_function(tensor22, x), math.inf) / tensor22.norm2(x)
     assert ratio == pytest.approx(math.sqrt(2.0), rel=1e-9)
+
+
+WITNESS_LEVELS = ([("tensor:2,2,2", k) for k in (1, 2, 3)]
+                  + [(spec, k) for spec in ("tensor:3,4", "tensor:2,3") for k in (1, 2)]
+                  + [("abelian:4", k) for k in (1, 2, 3, 4)])
+
+
+def _witness(tower, k):
+    """The basis element of ``D_k`` of largest ``||x||_inf / ||x||_2``; on abelian
+    level 1, where no basis element reaches the bound, the first level-1 atom's indicator."""
+    if tower.spec.kind == "abelian_dyadic" and k == 1:
+        return np.repeat([1.0 + 0j, 0.0], tower.dim // 2)
+    return max(tower.difference_basis(k), key=lambda b: (
+        lp_norm(singular_value_function(tower, b), math.inf) / tower.norm2(b)))
+
+
+@pytest.mark.parametrize("spec, k", WITNESS_LEVELS)
+def test_embedding_equality_witnesses(spec, k):
+    """The witness makes ``|x|`` a multiple of a projection of trace ``zeta_k``, and
+    there ``embed_inf2`` and ``basic_ii`` (at every p) hold with equality: both are
+    sharp.  ``embed_21`` and ``basic_i`` are not sharp there; their slacks over
+    ``||x||_2`` are pinned at ``1`` and ``zeta^1/2 (2^0.1 - 1)`` (0.0207 to 0.0508 on
+    these levels).  Whether some other element attains ``embed_21``'s factor 2 is untested."""
+    tower = build_tower(FiltrationSpec.parse(spec))
+    zeta = zeta_sequence(tower).values[k - 1]
+    alphas, ps = tuple(a / 10.0 for a in range(1, 10)), (1.1, 1.25, 1.5, 1.75)
+    s = singular_value_function(tower, _witness(tower, k))
+    n1, n2, ninf, *norms = lp_norm(
+        s, [1.0, 2.0, math.inf, *(1.0 / (1.0 - a) for a in alphas), *ps]).tolist()
+    slacks = _embedding_slacks(zeta, n1, n2, ninf, list(zip(alphas, norms)),
+                               list(zip(ps, norms[len(alphas):])))
+    assert abs(slacks["embed_inf2"]) <= 1e-12
+    assert abs(slacks["basic_ii"]) <= 1e-12
+    assert slacks["embed_21"] / n2 == pytest.approx(1.0, abs=1e-12)
+    assert slacks["basic_i"] / n2 == pytest.approx(math.sqrt(zeta) * (2.0**0.1 - 1.0), abs=1e-12)
 
 
 def test_basic_lemma_inequalities(tensor222, abelian3, rng):

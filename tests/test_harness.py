@@ -144,6 +144,18 @@ def test_report_csv(tmp_path):
         emit_report(r, "yaml", str(path))
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_emit_report_text_is_the_written_file(tmp_path, fmt):
+    """Without a path the report comes back as the text that a path receives:
+    CSV keeps its ``\\r\\n`` line endings either way."""
+    r = run_ratio_experiment(_cfg("lp-lq", extremal_n_max=2))
+    path = tmp_path / f"r.{fmt}"
+    emit_report(r, fmt, str(path))
+    text = emit_report(r, fmt)
+    assert text.encode() == path.read_bytes()
+    assert ("\r\n" in text) == (fmt == "csv")
+
+
 def test_summary_stats_excludes_sentinels():
     stats = _summary_stats([None, 1.0, 2.0, None])
     assert stats["n_used"] == 2
@@ -435,6 +447,21 @@ def test_experiment_smoke(name):
     assert r.experiment == name
     assert r.wall_time > 0
     assert r.summary
+
+
+def test_singular_value_trial_forms_each_square_function_once(monkeypatch):
+    """One singular-value-lemma trial takes the square functions of ``x``, ``I^a x``
+    and ``I^2a x`` once each; its Hardy norms are Lp norms of their spectra."""
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return column_square_function(m)
+
+    column_square_function = mg.column_square_function
+    monkeypatch.setattr(mg, "column_square_function", counted)
+    r = run_ratio_experiment(_cfg("singular-value-lemma", trials=1, alphas=[0.25]))
+    assert r.passed and len(calls) == 3
 
 
 def test_experiments_on_abelian_tower():

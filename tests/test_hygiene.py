@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used or re-exported, every
 module-level private name is used somewhere in the package and defined in one
 module only, every module-level constant is read somewhere in the package, and
-every default parameter is set by some call of the package or of its benchmark."""
+every default parameter is set by some call of the package or of its benchmark,
+and the package exports exactly its modules' public names."""
 
 import ast
 import math
@@ -9,6 +10,9 @@ import pathlib
 from collections import Counter
 
 import pytest
+
+import ncmart
+from ncmart import algebra, fractional, harness, martingale, spectral
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "ncmart"
@@ -271,3 +275,10 @@ def test_guard_flags_a_decomposition_outside_spectral():
         "spectral": "import numpy\n\nz = numpy.linalg.eigh(3)\n",
     }.items()}
     assert _stray_linalg(trees) == [("a", 2, "svd"), ("a", 5, "eigvalsh")]
+
+
+def test_package_exports_exactly_its_modules_public_names():
+    """``ncmart.__all__`` is the union of its modules' ``__all__``, plus ``__version__``."""
+    modules = set().union(*(m.__all__ for m in (algebra, spectral, martingale, fractional, harness)))
+    assert set(ncmart.__all__) - {"__version__"} == modules
+    assert len(ncmart.__all__) == len(set(ncmart.__all__))
